@@ -14,12 +14,9 @@ from .demographics import LifeTable, life_expectancy, sex_ratio
 from .evaluation import DEFAULT_KAPPA_GRID, EvalReport, rolling_rmse, tune_kappa
 from .forecasters import (
     MODELS,
-    CoherentFit,
-    CoherentResult,
+    Block,
     ForecastSurface,
-    IndependentResult,
-    ProductRatioResult,
-    WmfpcaResult,
+    ModelResult,
     fit_coherent,
     fit_independent,
     fit_model,
@@ -62,26 +59,23 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ArimaSpec",
+    "Block",
     "ComponentRule",
-    "CoherentFit",
-    "CoherentResult",
     "DEFAULT_KAPPA_GRID",
     "EvalReport",
     "FULL_RANK",
     "ForecastSurface",
     "FpcaFit",
-    "IndependentResult",
     "LifeTable",
     "MODELS",
     "MfpcaFit",
+    "ModelResult",
     "MortalitySurface",
-    "ProductRatioResult",
     "ResidualField",
     "ScoreForecast",
     "SmoothConfig",
     "SurfaceBundle",
     "WeightScheme",
-    "WmfpcaResult",
     "fit_auto",
     "fit_coherent",
     "fit_independent",

@@ -28,17 +28,9 @@ import numpy as np
 
 from .components import ComponentRule
 from .demographics import life_expectancy, sex_ratio
-from .errors import ConfigError, MortfpcaError
-from .evaluation import rolling_rmse, tune_kappa
-from .forecasters import (
-    MODELS,
-    CoherentResult,
-    IndependentResult,
-    ProductRatioResult,
-    WmfpcaResult,
-    fit_model,
-    predict_interval,
-)
+from .errors import ConfigError, MortfpcaError, SchemaMismatch
+from .evaluation import rolling_rmse, smooth_bundle, tune_kappa
+from .forecasters import MODELS, fit_model, predict_interval
 from .hmd import (
     SurfaceBundle,
     impute_missing,
@@ -48,12 +40,13 @@ from .hmd import (
     write_matrix_csv,
     write_surface_csv,
 )
-from .smoothing import ResidualField, SmoothConfig, smooth_surface
+from .smoothing import ResidualField, SmoothConfig
 from .store import (
     append_eval_report,
     save_forecast_surface,
     save_fpca_fit,
     save_mfpca_fit,
+    write_lines,
 )
 from .svgplot import line_chart
 
@@ -234,7 +227,11 @@ def _load_surface_dir(path):
         surface = read_surface_csv(os.path.join(path, name))
         sigma_path = os.path.join(path, name[:-4] + ".sigma.csv")
         if os.path.exists(sigma_path):
-            _, _, sigma = read_matrix_csv(sigma_path, "sigma")
+            years, ages, sigma = read_matrix_csv(sigma_path, "sigma")
+            if not (np.array_equal(years, surface.years) and np.array_equal(ages, surface.ages)):
+                raise SchemaMismatch(f"{sigma_path}: years or ages differ from {name}")
+            if not np.all(np.isfinite(sigma) & (sigma >= 0)):
+                raise SchemaMismatch(f"{sigma_path}: sigma must be finite and non-negative")
             residuals.append(
                 ResidualField(sigma=sigma, sigma_avg=np.sqrt(np.mean(sigma**2, axis=0)))
             )
@@ -255,12 +252,7 @@ def _prepared_bundle(cfg: RunConfig):
         return bundle, residuals
     if kinds == {"smoothed"}:
         raise ConfigError(f"{cfg.data} holds smoothed surfaces but no .sigma.csv files")
-    smoothed, fields_ = [], []
-    for surface in bundle:
-        s, f = smooth_surface(impute_missing(surface), SmoothConfig())
-        smoothed.append(s)
-        fields_.append(f)
-    return SurfaceBundle(smoothed), fields_
+    return smooth_bundle([impute_missing(s) for s in bundle], SmoothConfig())
 
 
 def _resolve_kappa(cfg: RunConfig, bundle, holdout: bool = False) -> float | None:
@@ -312,11 +304,11 @@ def cmd_ingest(cfg: RunConfig) -> int:
 def cmd_smooth(cfg: RunConfig) -> int:
     out = _require_out(cfg)
     bundle, _ = _load_surface_dir(cfg.data)
-    for surface in bundle:
-        smoothed, field = smooth_surface(impute_missing(surface), SmoothConfig())
-        write_surface_csv(smoothed, os.path.join(out, f"{surface.population_id}.csv"))
+    smoothed, fields_ = smooth_bundle([impute_missing(s) for s in bundle], SmoothConfig())
+    for surface, field in zip(smoothed, fields_):
+        write_surface_csv(surface, os.path.join(out, f"{surface.population_id}.csv"))
         write_matrix_csv(
-            smoothed.years, smoothed.ages, field.sigma,
+            surface.years, surface.ages, field.sigma,
             os.path.join(out, f"{surface.population_id}.sigma.csv"), "sigma",
         )
         print(f"smoothed {surface.population_id}: "
@@ -330,28 +322,15 @@ def cmd_fit(cfg: RunConfig) -> int:
     kappa = _resolve_kappa(cfg, bundle)
     result = fit_model(bundle, cfg.model, h=cfg.h, kappa=kappa, rule=cfg.rule,
                        weight_power=cfg.weight_power)
-    years = bundle.years
-    if isinstance(result, IndependentResult):
-        for pid, fit in zip(result.population_ids, result.fits):
-            save_fpca_fit(fit, years, os.path.join(out, pid))
-            print(f"{pid}: {fit.n_components} components, "
-                  f"shares {np.round(fit.var_explained, 4)}")
-    elif isinstance(result, WmfpcaResult):
-        save_mfpca_fit(result.fit, years, result.population_ids, out)
-        print(f"joint: {result.fit.n_components} components, "
-              f"shares {np.round(result.fit.var_explained, 4)}")
-    elif isinstance(result, CoherentResult):
-        save_fpca_fit(result.fit.common_fit, years, os.path.join(out, "common"))
-        save_mfpca_fit(result.fit.deviation_fit, years, result.population_ids,
-                       os.path.join(out, "deviations"))
-        print(f"common: {result.fit.common_fit.n_components} components, "
-              f"shares {np.round(result.fit.common_fit.var_explained, 4)}")
-        print(f"deviations: {result.fit.deviation_fit.n_components} components")
-    elif isinstance(result, ProductRatioResult):
-        save_fpca_fit(result.product_fit, years, os.path.join(out, "product"))
-        for pid, fit in zip(result.population_ids, result.ratio_fits):
-            save_fpca_fit(fit, years, os.path.join(out, f"ratio_{pid}"))
-        print(f"product: {result.product_fit.n_components} components")
+    for block in result.blocks:
+        path = os.path.join(out, block.name)
+        if block.joint:
+            pids = [result.population_ids[i] for i in block.covers]
+            save_mfpca_fit(block.fit, bundle.years, pids, path)
+        else:
+            save_fpca_fit(block.fit, bundle.years, path)
+        print(f"{block.name or 'joint'}: {block.fit.n_components} components, "
+              f"shares {np.round(block.fit.var_explained, 4)}")
     return 0
 
 
@@ -443,8 +422,7 @@ def cmd_diagnose(cfg: RunConfig) -> int:
     lines = ["year,e0_male,e0_female"]
     for year, em, ef in zip(years, e0_male, e0_female):
         lines.append(f"{year},{em!r},{ef!r}")
-    with open(os.path.join(out, "e0.csv"), "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(os.path.join(out, "e0.csv"), lines)
     print(f"e0 {years[0]}: male {e0_male[0]:.2f}, female {e0_female[0]:.2f}")
     print(f"e0 {years[-1]}: male {e0_male[-1]:.2f}, female {e0_female[-1]:.2f}")
 

@@ -19,9 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .components import ComponentRule, select_ncomp  # noqa: F401  (re-export)
+from .components import ComponentRule
 from .errors import InsufficientSpan, KappaOutOfRange
 from .forecasters import MODELS, fit_model, predict_interval
+from .hmd import SurfaceBundle
 from .smoothing import SmoothConfig, smooth_surface
 from .tsmodels import MIN_OBS
 
@@ -42,11 +43,10 @@ class EvalReport:
     avg_rmse: float
 
 
-def _smooth_bundle(bundle, smooth_config):
-    from .hmd import SurfaceBundle
-
+def smooth_bundle(surfaces, smooth_config: SmoothConfig | None = None):
+    """Smooth each surface; returns the smoothed bundle and its residual fields."""
     smoothed, fields = [], []
-    for surface in bundle:
+    for surface in surfaces:
         s, f = smooth_surface(surface, smooth_config)
         smoothed.append(s)
         fields.append(f)
@@ -83,7 +83,7 @@ def rolling_rmse(
             f"{first_year + MIN_OBS + windows + h - 2} at least; have up to {last_year}"
         )
 
-    smoothed, _ = _smooth_bundle(bundle, smooth_config)
+    smoothed, _ = smooth_bundle(bundle, smooth_config)
     n_ages = bundle.ages.size
     sq_err = {pid: 0.0 for pid in bundle.population_ids}
     for w in range(windows):

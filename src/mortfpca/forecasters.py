@@ -20,6 +20,10 @@ chosen ARIMA, and recombine.
     population's log ratio to it (stationary).  The classical coherent
     baseline.
 
+Each variant returns a :class:`ModelResult` whose :class:`Block` list spells
+out that shape: a population's forecast is the sum, over the blocks covering
+it, of a mean curve plus score forecasts times loadings.
+
 Prediction intervals combine three variance pieces per age: the variance of
 the estimated weighted mean, the score forecast variances mapped through
 squared eigenfunctions, and the smoothing residual scale.
@@ -28,15 +32,17 @@ squared eigenfunctions, and the smoothing residual scale.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 import numpy as np
 from scipy.stats import norm
 
 from .components import ComponentRule
 from .errors import AlphaOutOfRange, EmptyBundle
-from .mfpca import MfpcaFit, fit_mfpca, reconstruct_all_mfpca, _extract_curves
+from .mfpca import MfpcaFit, fit_mfpca, _extract_curves
 from .smoothing import ResidualField
-from .tsmodels import ScoreForecast, fit_auto, forecast
+from .tsmodels import fit_auto, forecast
 from .ufpca import (
     FpcaFit,
     WeightScheme,
@@ -72,61 +78,41 @@ class ForecastSurface:
 
 
 @dataclass(eq=False)
-class CoherentFit:
-    """Pieces of the coherent decomposition.
+class Block:
+    """One score-forecast x loading term of a model.
 
-    ``total_mean`` is the weighted mean of the cross-population average
-    curve; ``deviation_means`` hold each population's weighted mean
-    deviation from the reconstructed average trend.
+    ``covers`` lists the population indices the block adds to.  ``means``
+    and ``loadings`` hold one entry per covered population, or a single
+    entry shared by all of them.  ``name`` is the block's ``mortfpca fit``
+    subdirectory; ``joint`` marks a block whose ``fit`` is an
+    :class:`MfpcaFit` rather than an :class:`FpcaFit`.
     """
 
-    total_mean: np.ndarray
-    common_fit: FpcaFit
-    deviation_means: list
-    deviation_fit: MfpcaFit
+    name: str
+    covers: list
+    fit: FpcaFit | MfpcaFit
+    means: list
+    loadings: list
+    scores: np.ndarray
+    mode: str
+    forecasts: list  # ScoreForecast per score column
+    joint: bool = False
+
+    def entry(self, i: int):
+        """Mean curve and loading matrix this block adds to population ``i``."""
+        k = 0 if len(self.means) == 1 else self.covers.index(i)
+        return self.means[k], self.loadings[k]
 
 
 @dataclass(eq=False)
-class IndependentResult:
+class ModelResult:
+    """A fitted model: per population, the sum of the blocks covering it."""
+
     population_ids: list
     train_years: np.ndarray
     horizon: int
     weights: WeightScheme
-    fits: list
-    score_forecasts: list  # per population, list of ScoreForecast
-
-
-@dataclass(eq=False)
-class WmfpcaResult:
-    population_ids: list
-    train_years: np.ndarray
-    horizon: int
-    weights: WeightScheme
-    fit: MfpcaFit
-    score_forecasts: list  # shared components
-
-
-@dataclass(eq=False)
-class CoherentResult:
-    population_ids: list
-    train_years: np.ndarray
-    horizon: int
-    weights: WeightScheme
-    fit: CoherentFit
-    common_forecasts: list
-    deviation_forecasts: list
-
-
-@dataclass(eq=False)
-class ProductRatioResult:
-    population_ids: list
-    train_years: np.ndarray
-    horizon: int
-    weights: WeightScheme
-    product_fit: FpcaFit
-    ratio_fits: list
-    product_forecasts: list
-    ratio_forecasts: list  # per population
+    blocks: list
 
 
 def _bundle_parts(bundle):
@@ -155,8 +141,25 @@ def _check_horizon(h: int):
         raise ValueError(f"horizon must be >= 1, got {h}")
 
 
+def _fpca_block(name, covers, fit: FpcaFit, mode: str, h: int) -> Block:
+    """A block from one univariate fit: a single mean and loading matrix."""
+    return Block(name, covers, fit, [fit.mean_fn], [fit.eigenfunctions], fit.scores,
+                 mode, _forecast_scores(fit.scores, mode, h))
+
+
+def _mfpca_block(name, covers, fit: MfpcaFit, mode: str, h: int) -> Block:
+    """A joint block: one mean and loading matrix per population, shared scores."""
+    return Block(name, covers, fit, [f.mean_fn for f in fit.per_pop_fits],
+                 list(fit.multi_eigenfunctions), fit.shared_scores, mode,
+                 _forecast_scores(fit.shared_scores, mode, h), joint=True)
+
+
+def _year_weights(kappa: float | None, n_years: int) -> WeightScheme:
+    return geometric_weights(kappa, n_years) if kappa is not None else uniform_weights(n_years)
+
+
 def fit_independent(bundle, rule: ComponentRule | None = None, h: int = 20,
-                    weights: WeightScheme | None = None) -> IndependentResult:
+                    weights: WeightScheme | None = None) -> ModelResult:
     """Per-population FPCA with nonstationary score models.
 
     Unweighted unless an explicit :class:`WeightScheme` is supplied.
@@ -165,15 +168,15 @@ def fit_independent(bundle, rule: ComponentRule | None = None, h: int = 20,
     curves, ids, years = _bundle_parts(bundle)
     if weights is None:
         weights = uniform_weights(curves[0].shape[0])
-    fits = [fit_ufpca(c, weights, rule) for c in curves]
-    score_forecasts = [
-        _forecast_scores(f.scores, "nonstationary", h) for f in fits
+    blocks = [
+        _fpca_block(pid, [i], fit_ufpca(c, weights, rule), "nonstationary", h)
+        for i, (pid, c) in enumerate(zip(ids, curves))
     ]
-    return IndependentResult(ids, years, h, weights, fits, score_forecasts)
+    return ModelResult(ids, years, h, weights, blocks)
 
 
 def fit_wmfpca(bundle, kappa: float | None, rule: ComponentRule | None = None,
-               h: int = 20, weight_power: float = 1.0) -> WmfpcaResult:
+               h: int = 20, weight_power: float = 1.0) -> ModelResult:
     """Weighted multivariate FPCA with nonstationary shared score models.
 
     ``kappa`` is the geometric decay rate of the year weights; ``None``
@@ -181,15 +184,14 @@ def fit_wmfpca(bundle, kappa: float | None, rule: ComponentRule | None = None,
     """
     _check_horizon(h)
     curves, ids, years = _bundle_parts(bundle)
-    n_years = curves[0].shape[0]
-    weights = geometric_weights(kappa, n_years) if kappa is not None else uniform_weights(n_years)
+    weights = _year_weights(kappa, curves[0].shape[0])
     fit = fit_mfpca(curves, weights, rule, weight_power)
-    score_forecasts = _forecast_scores(fit.shared_scores, "nonstationary", h)
-    return WmfpcaResult(ids, years, h, weights, fit, score_forecasts)
+    block = _mfpca_block("", list(range(len(ids))), fit, "nonstationary", h)
+    return ModelResult(ids, years, h, weights, [block])
 
 
 def fit_coherent(bundle, kappa: float | None, rule: ComponentRule | None = None,
-                 h: int = 20, weight_power: float = 1.0) -> CoherentResult:
+                 h: int = 20, weight_power: float = 1.0) -> ModelResult:
     """Average-trend FPCA plus stationary multivariate FPCA of deviations.
 
     The average curve's scores get nonstationary models; the deviation
@@ -198,27 +200,20 @@ def fit_coherent(bundle, kappa: float | None, rule: ComponentRule | None = None,
     """
     _check_horizon(h)
     curves, ids, years = _bundle_parts(bundle)
-    n_years = curves[0].shape[0]
-    weights = geometric_weights(kappa, n_years) if kappa is not None else uniform_weights(n_years)
+    weights = _year_weights(kappa, curves[0].shape[0])
+    everyone = list(range(len(ids)))
 
-    average_curve = np.mean(curves, axis=0)
-    common_fit = fit_ufpca(average_curve, weights, rule, weight_power)
+    common_fit = fit_ufpca(np.mean(curves, axis=0), weights, rule, weight_power)
     trend = reconstruct_all(common_fit)
-    deviations = [c - trend for c in curves]
-    deviation_fit = fit_mfpca(deviations, weights, rule, weight_power)
-
-    fit = CoherentFit(
-        total_mean=common_fit.mean_fn,
-        common_fit=common_fit,
-        deviation_means=[f.mean_fn for f in deviation_fit.per_pop_fits],
-        deviation_fit=deviation_fit,
-    )
-    common_forecasts = _forecast_scores(common_fit.scores, "nonstationary", h)
-    deviation_forecasts = _forecast_scores(deviation_fit.shared_scores, "stationary", h)
-    return CoherentResult(ids, years, h, weights, fit, common_forecasts, deviation_forecasts)
+    deviation_fit = fit_mfpca([c - trend for c in curves], weights, rule, weight_power)
+    blocks = [
+        _fpca_block("common", everyone, common_fit, "nonstationary", h),
+        _mfpca_block("deviations", everyone, deviation_fit, "stationary", h),
+    ]
+    return ModelResult(ids, years, h, weights, blocks)
 
 
-def fit_product_ratio(bundle, rule: ComponentRule | None = None, h: int = 20) -> ProductRatioResult:
+def fit_product_ratio(bundle, rule: ComponentRule | None = None, h: int = 20) -> ModelResult:
     """Unweighted decomposition into average log curve and log ratios.
 
     On the rate scale the average log curve is the log geometric-mean rate
@@ -230,20 +225,18 @@ def fit_product_ratio(bundle, rule: ComponentRule | None = None, h: int = 20) ->
     curves, ids, years = _bundle_parts(bundle)
     weights = uniform_weights(curves[0].shape[0])
     average_curve = np.mean(curves, axis=0)
-    ratios = [c - average_curve for c in curves]
-    product_fit = fit_ufpca(average_curve, weights, rule)
-    ratio_fits = [fit_ufpca(r, weights, rule) for r in ratios]
-    product_forecasts = _forecast_scores(product_fit.scores, "nonstationary", h)
-    ratio_forecasts = [
-        _forecast_scores(f.scores, "stationary", h) for f in ratio_fits
+    blocks = [_fpca_block("product", list(range(len(ids))),
+                          fit_ufpca(average_curve, weights, rule), "nonstationary", h)]
+    blocks += [
+        _fpca_block(f"ratio_{pid}", [i], fit_ufpca(c - average_curve, weights, rule),
+                    "stationary", h)
+        for i, (pid, c) in enumerate(zip(ids, curves))
     ]
-    return ProductRatioResult(
-        ids, years, h, weights, product_fit, ratio_fits, product_forecasts, ratio_forecasts
-    )
+    return ModelResult(ids, years, h, weights, blocks)
 
 
 def fit_model(bundle, model: str, h: int = 20, kappa: float | None = None,
-              rule: ComponentRule | None = None, weight_power: float = 1.0):
+              rule: ComponentRule | None = None, weight_power: float = 1.0) -> ModelResult:
     """Dispatch to one of the four model variants by name."""
     if model == "independent":
         return fit_independent(bundle, rule, h)
@@ -269,31 +262,9 @@ def _stack(forecasts, h):
     return mean, var
 
 
-def _terms_for(result, i: int):
-    """Base mean curve and (score forecasts, eigenfunctions) term pairs."""
-    if isinstance(result, IndependentResult):
-        fit = result.fits[i]
-        return fit.mean_fn, [(result.score_forecasts[i], fit.eigenfunctions)]
-    if isinstance(result, WmfpcaResult):
-        fit = result.fit
-        return (
-            fit.per_pop_fits[i].mean_fn,
-            [(result.score_forecasts, fit.multi_eigenfunctions[i])],
-        )
-    if isinstance(result, CoherentResult):
-        fit = result.fit
-        base = fit.total_mean + fit.deviation_means[i]
-        return base, [
-            (result.common_forecasts, fit.common_fit.eigenfunctions),
-            (result.deviation_forecasts, fit.deviation_fit.multi_eigenfunctions[i]),
-        ]
-    if isinstance(result, ProductRatioResult):
-        base = result.product_fit.mean_fn + result.ratio_fits[i].mean_fn
-        return base, [
-            (result.product_forecasts, result.product_fit.eigenfunctions),
-            (result.ratio_forecasts[i], result.ratio_fits[i].eigenfunctions),
-        ]
-    raise TypeError(f"unsupported result type {type(result).__name__}")
+def _covering(result: ModelResult, i: int):
+    """(block, mean, loadings) of every block adding to population ``i``, in block order."""
+    return [(block, *block.entry(i)) for block in result.blocks if i in block.covers]
 
 
 def mean_variance(weights: WeightScheme, residuals: ResidualField | None, n_ages: int) -> np.ndarray:
@@ -303,12 +274,12 @@ def mean_variance(weights: WeightScheme, residuals: ResidualField | None, n_ages
     return (weights.weights**2) @ (residuals.sigma**2)
 
 
-def predict_interval(result, residuals=None, alpha: float = 0.05):
+def predict_interval(result: ModelResult, residuals=None, alpha: float = 0.05):
     """Forecast surfaces with pointwise normal prediction intervals.
 
     Parameters
     ----------
-    result : one of the fit_* results
+    result : ModelResult
     residuals : list of ResidualField or None
         Smoothing residuals per population; ``None`` drops the mean and
         observational variance contributions.
@@ -323,17 +294,18 @@ def predict_interval(result, residuals=None, alpha: float = 0.05):
 
     surfaces = []
     for i, pid in enumerate(result.population_ids):
-        base, terms = _terms_for(result, i)
-        n_ages = base.size
+        pieces = _covering(result, i)
+        # base means first, then the score terms, each in block order
+        base = reduce(add, [mean for _, mean, _ in pieces])
         res_i = residuals[i] if residuals is not None else None
         mean = np.tile(base, (h, 1))
-        variance = np.tile(mean_variance(result.weights, res_i, n_ages), (h, 1))
+        variance = np.tile(mean_variance(result.weights, res_i, base.size), (h, 1))
         if res_i is not None:
             variance += res_i.sigma_avg**2
-        for forecasts, eigenfunctions in terms:
-            s_mean, s_var = _stack(forecasts, h)
-            mean = mean + s_mean @ eigenfunctions
-            variance = variance + s_var @ eigenfunctions**2
+        for block, _, loadings in pieces:
+            s_mean, s_var = _stack(block.forecasts, h)
+            mean = mean + s_mean @ loadings
+            variance = variance + s_var @ loadings**2
         half = z * np.sqrt(variance)
         surfaces.append(
             ForecastSurface(
@@ -348,22 +320,10 @@ def predict_interval(result, residuals=None, alpha: float = 0.05):
     return surfaces
 
 
-def in_sample_reconstruction(result):
+def in_sample_reconstruction(result: ModelResult):
     """Training-period reconstructions per population (T x J matrices)."""
-    if isinstance(result, IndependentResult):
-        return [reconstruct_all(f) for f in result.fits]
-    if isinstance(result, WmfpcaResult):
-        return [
-            reconstruct_all_mfpca(result.fit, i)
-            for i in range(result.fit.n_populations)
-        ]
-    if isinstance(result, CoherentResult):
-        trend = reconstruct_all(result.fit.common_fit)
-        return [
-            trend + reconstruct_all_mfpca(result.fit.deviation_fit, i)
-            for i in range(result.fit.deviation_fit.n_populations)
-        ]
-    if isinstance(result, ProductRatioResult):
-        avg = reconstruct_all(result.product_fit)
-        return [avg + reconstruct_all(f) for f in result.ratio_fits]
-    raise TypeError(f"unsupported result type {type(result).__name__}")
+    return [
+        reduce(add, [mean + block.scores @ loadings
+                     for block, mean, loadings in _covering(result, i)])
+        for i in range(len(result.population_ids))
+    ]

@@ -274,28 +274,26 @@ def write_surface_csv(surface: MortalitySurface, path) -> None:
         raise IoError(f"cannot write {path}: {exc}") from exc
 
 
-def read_surface_csv(path) -> MortalitySurface:
-    """Inverse of :func:`write_surface_csv`; validates the schema strictly."""
+def _read_grid(path, value_column: str):
+    """Parse a ``year,age,<value_column>`` file, optionally led by a ``#`` line.
+
+    Returns ``(comment, years, ages, grid)``.  Every row must hold three
+    numbers, and rows must run by year then age over the full grid; any
+    other content raises :class:`SchemaMismatch`.
+    """
     try:
         with open(path, "r", encoding="ascii") as fh:
-            lines = [ln.rstrip("\n") for ln in fh]
+            lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
-    lines = [ln for ln in lines if ln]
-    if not lines:
-        raise SchemaMismatch(f"{path}: empty file")
-
-    population_id = os.path.splitext(os.path.basename(str(path)))[0]
-    kind = "observed"
-    if lines[0].startswith("#"):
-        meta = dict(
-            item.split("=", 1) for item in lines[0].lstrip("# ").split() if "=" in item
-        )
-        population_id = meta.get("population_id", population_id)
-        kind = meta.get("kind", kind)
-        lines = lines[1:]
-    if not lines or lines[0] != CSV_HEADER:
-        raise SchemaMismatch(f"{path}: expected header {CSV_HEADER!r}")
+    except UnicodeDecodeError as exc:
+        raise SchemaMismatch(f"{path}: not ASCII text") from exc
+    comment = ""
+    if lines and lines[0].startswith("#"):
+        comment, lines = lines[0], lines[1:]
+    header = f"year,age,{value_column}"
+    if not lines or lines[0] != header:
+        raise SchemaMismatch(f"{path}: expected header {header!r}")
 
     years, ages, values = [], [], []
     for ln in lines[1:]:
@@ -315,16 +313,26 @@ def read_surface_csv(path) -> MortalitySurface:
     age_list = sorted(set(ages))
     expected_years = np.repeat(year_list, len(age_list))
     expected_ages = np.tile(age_list, len(year_list))
-    if not (np.array_equal(years, expected_years) and np.array_equal(ages, expected_ages)):
+    contiguous = np.all(np.diff(year_list) == 1) and np.all(np.diff(age_list) == 1)
+    if not (contiguous and np.array_equal(years, expected_years)
+            and np.array_equal(ages, expected_ages)):
         raise SchemaMismatch(f"{path}: rows must be ordered by year then age with no gaps")
     grid = np.asarray(values, dtype=float).reshape(len(year_list), len(age_list))
+    return comment, np.asarray(year_list), np.asarray(age_list), grid
+
+
+def read_surface_csv(path) -> MortalitySurface:
+    """Inverse of :func:`write_surface_csv`; validates the schema strictly."""
+    comment, years, ages, grid = _read_grid(path, "log_rate")
+    meta = dict(item.split("=", 1) for item in comment.lstrip("# ").split() if "=" in item)
     try:
         return MortalitySurface(
-            population_id=population_id,
-            years=np.asarray(year_list),
-            ages=np.asarray(age_list),
+            population_id=meta.get("population_id",
+                                   os.path.splitext(os.path.basename(str(path)))[0]),
+            years=years,
+            ages=ages,
             log_rates=grid,
-            kind=kind,
+            kind=meta.get("kind", "observed"),
         )
     except (ValueError, NonContiguousYears) as exc:
         raise SchemaMismatch(f"{path}: {exc}") from exc
@@ -347,29 +355,7 @@ def write_matrix_csv(years, ages, values, path, value_column: str) -> None:
 def read_matrix_csv(path, value_column: str):
     """Read a matrix written by :func:`write_matrix_csv`.
 
-    Returns ``(years, ages, values)``.
+    Returns ``(years, ages, values)``; validated like :func:`read_surface_csv`.
     """
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
-    if lines and lines[0].startswith("#"):
-        lines = lines[1:]
-    expected = f"year,age,{value_column}"
-    if not lines or lines[0] != expected:
-        raise SchemaMismatch(f"{path}: expected header {expected!r}")
-    years, ages, values = [], [], []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != 3:
-            raise SchemaMismatch(f"{path}: bad row {ln!r}")
-        years.append(int(parts[0]))
-        ages.append(int(parts[1]))
-        values.append(float(parts[2]))
-    year_list = sorted(set(years))
-    age_list = sorted(set(ages))
-    if len(values) != len(year_list) * len(age_list):
-        raise SchemaMismatch(f"{path}: incomplete grid")
-    grid = np.asarray(values, dtype=float).reshape(len(year_list), len(age_list))
-    return np.asarray(year_list), np.asarray(age_list), grid
+    _, years, ages, grid = _read_grid(path, value_column)
+    return years, ages, grid

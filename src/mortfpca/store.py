@@ -23,9 +23,10 @@ import numpy as np
 from .errors import IoError
 
 
-def _write_lines(path, lines):
+def write_lines(path, lines, mode: str = "w") -> None:
+    """Write (or with ``mode="a"`` append) newline-terminated ASCII lines."""
     try:
-        with open(path, "w", encoding="ascii") as fh:
+        with open(path, mode, encoding="ascii") as fh:
             fh.write("\n".join(lines) + "\n")
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
@@ -35,71 +36,50 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def save_fpca_fit(fit, years, outdir) -> None:
-    """Persist one univariate fit as mean/eigenfunctions/eigenvalues/scores."""
+def _save_decomposition(outdir, years, eigenvalues, var_explained, scores, pieces) -> None:
+    """Spectrum and scores, then one mean/eigenfunctions pair per (suffix, mean, loadings)."""
     os.makedirs(outdir, exist_ok=True)
-    ages = np.arange(fit.mean_fn.size)
-    n = fit.n_components
-
-    _write_lines(
-        os.path.join(outdir, "mean.csv"),
-        ["age,mean"] + [f"{a},{_fmt(v)}" for a, v in zip(ages, fit.mean_fn)],
-    )
-    header = "age," + ",".join(f"ef_{k + 1}" for k in range(n))
-    rows = [
-        f"{a}," + ",".join(_fmt(fit.eigenfunctions[k, j]) for k in range(n))
-        for j, a in enumerate(ages)
-    ]
-    _write_lines(os.path.join(outdir, "eigenfunctions.csv"), [header] + rows)
-    _write_lines(
+    n = eigenvalues.size
+    write_lines(
         os.path.join(outdir, "eigenvalues.csv"),
         ["component,eigenvalue,var_explained"]
-        + [
-            f"{k + 1},{_fmt(fit.eigenvalues[k])},{_fmt(fit.var_explained[k])}"
-            for k in range(n)
-        ],
+        + [f"{k + 1},{_fmt(eigenvalues[k])},{_fmt(var_explained[k])}" for k in range(n)],
     )
     header = "year," + ",".join(f"score_{k + 1}" for k in range(n))
     rows = [
-        f"{year}," + ",".join(_fmt(fit.scores[t, k]) for k in range(n))
+        f"{year}," + ",".join(_fmt(scores[t, k]) for k in range(n))
         for t, year in enumerate(years)
     ]
-    _write_lines(os.path.join(outdir, "scores.csv"), [header] + rows)
+    write_lines(os.path.join(outdir, "scores.csv"), [header] + rows)
+
+    for suffix, mean, loadings in pieces:
+        ages = np.arange(mean.size)
+        write_lines(
+            os.path.join(outdir, f"mean{suffix}.csv"),
+            ["age,mean"] + [f"{a},{_fmt(v)}" for a, v in zip(ages, mean)],
+        )
+        header = "age," + ",".join(f"ef_{k + 1}" for k in range(n))
+        rows = [
+            f"{a}," + ",".join(_fmt(loadings[k, j]) for k in range(n))
+            for j, a in enumerate(ages)
+        ]
+        write_lines(os.path.join(outdir, f"eigenfunctions{suffix}.csv"), [header] + rows)
+
+
+def save_fpca_fit(fit, years, outdir) -> None:
+    """Persist one univariate fit as mean/eigenfunctions/eigenvalues/scores."""
+    _save_decomposition(outdir, years, fit.eigenvalues, fit.var_explained, fit.scores,
+                        [("", fit.mean_fn, fit.eigenfunctions)])
 
 
 def save_mfpca_fit(fit, years, population_ids, outdir) -> None:
     """Persist a joint fit: shared scores plus per-population pieces."""
-    os.makedirs(outdir, exist_ok=True)
-    n = fit.n_components
-    _write_lines(
-        os.path.join(outdir, "eigenvalues.csv"),
-        ["component,eigenvalue,var_explained"]
-        + [
-            f"{k + 1},{_fmt(fit.joint_eigenvalues[k])},{_fmt(fit.var_explained[k])}"
-            for k in range(n)
-        ],
-    )
-    header = "year," + ",".join(f"score_{k + 1}" for k in range(n))
-    rows = [
-        f"{year}," + ",".join(_fmt(fit.shared_scores[t, k]) for k in range(n))
-        for t, year in enumerate(years)
+    pieces = [
+        (f"_{pid}", f.mean_fn, ef)
+        for pid, f, ef in zip(population_ids, fit.per_pop_fits, fit.multi_eigenfunctions)
     ]
-    _write_lines(os.path.join(outdir, "scores.csv"), [header] + rows)
-
-    for i, pid in enumerate(population_ids):
-        ages = np.arange(fit.per_pop_fits[i].mean_fn.size)
-        _write_lines(
-            os.path.join(outdir, f"mean_{pid}.csv"),
-            ["age,mean"]
-            + [f"{a},{_fmt(v)}" for a, v in zip(ages, fit.per_pop_fits[i].mean_fn)],
-        )
-        header = "age," + ",".join(f"ef_{k + 1}" for k in range(n))
-        rows = [
-            f"{a},"
-            + ",".join(_fmt(fit.multi_eigenfunctions[i][k, j]) for k in range(n))
-            for j, a in enumerate(ages)
-        ]
-        _write_lines(os.path.join(outdir, f"eigenfunctions_{pid}.csv"), [header] + rows)
+    _save_decomposition(outdir, years, fit.joint_eigenvalues, fit.var_explained,
+                        fit.shared_scores, pieces)
 
 
 def save_forecast_surface(surface, ages, path) -> None:
@@ -111,7 +91,7 @@ def save_forecast_surface(surface, ages, path) -> None:
                 f"{year},{age},{_fmt(surface.mean[t, j])},{_fmt(surface.variance[t, j])},"
                 f"{_fmt(surface.lower[t, j])},{_fmt(surface.upper[t, j])}"
             )
-    _write_lines(path, lines)
+    write_lines(path, lines)
 
 
 EVAL_HEADER = "country,model,h,pop,rmse,avg_rmse,windows,kappa"
@@ -127,8 +107,4 @@ def append_eval_report(report, path) -> None:
             f"{report.country},{report.model},{report.horizon},{pid},"
             f"{_fmt(rmse)},{_fmt(report.avg_rmse)},{report.windows},{kappa}"
         )
-    try:
-        with open(path, "a", encoding="ascii") as fh:
-            fh.write("\n".join(rows) + "\n")
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    write_lines(path, rows, mode="a")

@@ -16,7 +16,8 @@ from mortfpca.components import FULL_RANK, ComponentRule
 from mortfpca.evaluation import rolling_rmse
 from mortfpca.forecasters import (
     MODELS,
-    IndependentResult,
+    Block,
+    ModelResult,
     fit_model,
     in_sample_reconstruction,
     predict_interval,
@@ -159,17 +160,19 @@ def _limit_gap(result, model):
     bound: difference of fitted mean curves plus the long-run means of the
     stationary score models mapped through the eigenfunctions."""
     if model == "coherent":
-        fit = result.fit
-        gap = fit.deviation_means[0] - fit.deviation_means[1]
-        for l, sf in enumerate(result.deviation_forecasts):
+        deviations = result.blocks[1]
+        fit = deviations.fit
+        gap = fit.per_pop_fits[0].mean_fn - fit.per_pop_fits[1].mean_fn
+        for l, sf in enumerate(deviations.forecasts):
             m = unconditional_mean(sf.spec)
-            gap = gap + m * (fit.deviation_fit.multi_eigenfunctions[0][l]
-                             - fit.deviation_fit.multi_eigenfunctions[1][l])
+            gap = gap + m * (fit.multi_eigenfunctions[0][l]
+                             - fit.multi_eigenfunctions[1][l])
         return gap
-    gap = result.ratio_fits[0].mean_fn - result.ratio_fits[1].mean_fn
+    ratios = result.blocks[1:]
+    gap = ratios[0].fit.mean_fn - ratios[1].fit.mean_fn
     for i, sign in ((0, 1.0), (1, -1.0)):
-        for l, sf in enumerate(result.ratio_forecasts[i]):
-            gap = gap + sign * unconditional_mean(sf.spec) * result.ratio_fits[i].eigenfunctions[l]
+        for l, sf in enumerate(ratios[i].forecasts):
+            gap = gap + sign * unconditional_mean(sf.spec) * ratios[i].fit.eigenfunctions[l]
     return gap
 
 
@@ -285,9 +288,10 @@ def test_criterion_6_interval_coverage_model_true(acceptance_report):
 
         fit = fit_ufpca(curves, weights, ComponentRule(override=1))
         spec = fit_spec(fit.scores[:, 0], (0, 1, 0), include_drift=True)
-        result = IndependentResult(
+        result = ModelResult(
             ["pop"], np.arange(2000, 2000 + t_len), h, weights,
-            [fit], [[forecast(spec, fit.scores[:, 0], h)]],
+            [Block("pop", [0], fit, [fit.mean_fn], [fit.eigenfunctions], fit.scores,
+                   "nonstationary", [forecast(spec, fit.scores[:, 0], h)])],
         )
         surface = predict_interval(result, [field], alpha=0.05)[0]
         hit = (surface.lower[h - 1] <= y_future) & (y_future <= surface.upper[h - 1])
@@ -355,13 +359,13 @@ def test_criterion_7_japan_reproduction_reported(acceptance_report):
                 f"(ref {references[model][surface.population_id]:.4f})"
             )
         if model == "coherent":
-            shares = result.fit.common_fit.var_explained[:3]
+            shares = result.blocks[0].fit.var_explained[:3]
             details.append(
                 "common shares "
                 + "/".join(f"{s:.3f}" for s in shares) + " (ref 0.972/0.023/0.002)"
             )
         else:
-            shares = result.fit.var_explained[:3]
+            shares = result.blocks[0].fit.var_explained[:3]
             details.append(
                 "joint shares "
                 + "/".join(f"{s:.3f}" for s in shares) + " (ref 0.980/0.017/0.002)"
@@ -382,8 +386,9 @@ def test_criterion_8_determinism(acceptance_report, tmp_path):
     first = fit_model(bundle, "wmfpca", h=3, kappa=0.5)
     second = fit_model(bundle, "wmfpca", h=3, kappa=0.5)
     arrays_equal = (
-        np.array_equal(first.fit.joint_eigenvalues, second.fit.joint_eigenvalues)
-        and np.array_equal(first.fit.shared_scores, second.fit.shared_scores)
+        np.array_equal(first.blocks[0].fit.joint_eigenvalues,
+                       second.blocks[0].fit.joint_eigenvalues)
+        and np.array_equal(first.blocks[0].fit.shared_scores, second.blocks[0].fit.shared_scores)
         and all(
             np.array_equal(a.mean, b.mean) and np.array_equal(a.variance, b.variance)
             for a, b in zip(predict_interval(first, None), predict_interval(second, None))

@@ -180,6 +180,20 @@ def test_fit_product_ratio_layout(tmp_path, smooth_dir):
         assert (tmp_path / f"ratio_{pid}" / "eigenvalues.csv").exists()
 
 
+def test_fit_joint_model_of_one_population_keeps_joint_layout(tmp_path, smooth_dir):
+    data = tmp_path / "data"
+    data.mkdir()
+    for name in ("female.csv", "female.sigma.csv"):
+        (data / name).write_bytes((smooth_dir / name).read_bytes())
+    out = tmp_path / "out"
+    rc = main(["fit", "--data", str(data), "--out", str(out),
+               "--model", "wmfpca", "--kappa", "0.6"])
+    assert rc == 0
+    names = {p.name for p in out.iterdir()}
+    assert names == {"eigenvalues.csv", "scores.csv", "mean_female.csv",
+                     "eigenfunctions_female.csv"}
+
+
 def test_fixed_component_count_caps_serialized_spectrum(tmp_path, smooth_dir):
     rc = main(["fit", "--data", str(smooth_dir), "--out", str(tmp_path),
                "--model", "independent", "--ncomp", "1"])
@@ -243,6 +257,35 @@ def test_forecast_of_constant_surface_is_constant(tmp_path):
     lines = (out / "forecast_pop.csv").read_text().splitlines()[1:]
     means = np.array([float(ln.split(",")[2]) for ln in lines])
     assert np.max(np.abs(means - (-4.0))) < 1e-6
+
+
+def _corrupt_sigma(tmp_path, smooth_dir, edit):
+    """Copy of the smoothed directory whose female sigma rows pass through ``edit``."""
+    data = tmp_path / "data"
+    data.mkdir()
+    for p in smooth_dir.iterdir():
+        (data / p.name).write_bytes(p.read_bytes())
+    lines = (data / "female.sigma.csv").read_text().splitlines()
+    (data / "female.sigma.csv").write_text("\n".join([lines[0]] + edit(lines[1:])) + "\n")
+    return data
+
+
+def _swap_first_two(rows):
+    return [rows[1], rows[0]] + rows[2:]
+
+
+@pytest.mark.parametrize("edit", [
+    lambda rows: [rows[0].rsplit(",", 1)[0] + ",abc"] + rows[1:],    # non-numeric cell
+    lambda rows: [r for r in rows if not r.startswith(f"{YEARS[-1]},")],  # last year dropped
+    _swap_first_two,                                                  # rows out of order
+], ids=["non_numeric", "last_year_dropped", "rows_swapped"])
+def test_bad_sigma_grid_fails_with_one_error_line(tmp_path, smooth_dir, edit, capsys):
+    data = _corrupt_sigma(tmp_path, smooth_dir, edit)
+    rc = main(["forecast", "--data", str(data), "--out", str(tmp_path / "out"),
+               "--model", "independent", "--h", "2"])
+    assert rc == 1
+    assert_error_line(capsys, "hmd", "SchemaMismatch")
+    assert not (tmp_path / "out" / "forecast_female.csv").exists()
 
 
 # -- evaluate ----------------------------------------------------------------
@@ -320,6 +363,15 @@ def test_diagnose_needs_both_sexes(tmp_path, smooth_dir, capsys):
                "--model", "independent", "--h", "2"])
     assert rc == 1
     assert_error_line(capsys, "cli", "ConfigError")
+
+
+def test_diagnose_unwritable_e0_target_is_an_io_error(tmp_path, smooth_dir, capsys):
+    out = tmp_path / "out"
+    (out / "e0.csv").mkdir(parents=True)  # a directory where the table should go
+    rc = main(["diagnose", "--data", str(smooth_dir), "--out", str(out),
+               "--model", "independent", "--h", "2"])
+    assert rc == 1
+    assert_error_line(capsys, "hmd", "IoError")
 
 
 # -- configuration layering --------------------------------------------------

@@ -7,11 +7,7 @@ from mortfpca.components import FULL_RANK, ComponentRule
 from mortfpca.errors import AlphaOutOfRange, EmptyBundle
 from mortfpca.forecasters import (
     MODELS,
-    CoherentResult,
     ForecastSurface,
-    IndependentResult,
-    ProductRatioResult,
-    WmfpcaResult,
     fit_coherent,
     fit_model,
     fit_product_ratio,
@@ -35,10 +31,18 @@ def results(small_truth):
 
 
 def test_fit_model_dispatch(results, small_truth):
-    assert isinstance(results["independent"], IndependentResult)
-    assert isinstance(results["wmfpca"], WmfpcaResult)
-    assert isinstance(results["coherent"], CoherentResult)
-    assert isinstance(results["product_ratio"], ProductRatioResult)
+    layouts = {
+        "independent": [("female", [0], "nonstationary"), ("male", [1], "nonstationary")],
+        "wmfpca": [("", [0, 1], "nonstationary")],
+        "coherent": [("common", [0, 1], "nonstationary"),
+                     ("deviations", [0, 1], "stationary")],
+        "product_ratio": [("product", [0, 1], "nonstationary"),
+                          ("ratio_female", [0], "stationary"),
+                          ("ratio_male", [1], "stationary")],
+    }
+    for model, layout in layouts.items():
+        blocks = results[model].blocks
+        assert [(b.name, b.covers, b.mode) for b in blocks] == layout
     for result in results.values():
         assert result.population_ids == small_truth.population_ids
         assert result.horizon == 3
@@ -72,34 +76,38 @@ def test_interval_variance_assembly(results, model, small_truth):
     assert len(surfaces) == small_truth.n_populations
 
     # residuals=None leaves exactly the score-forecast variance terms
+    blocks = {b.name: b for b in result.blocks}
     if model == "independent":
-        terms = [[(result.score_forecasts[i], result.fits[i].eigenfunctions)]
-                 for i in range(2)]
-        bases = [result.fits[i].mean_fn for i in range(2)]
+        terms = [[(blocks[pid].forecasts, blocks[pid].fit.eigenfunctions)]
+                 for pid in ("female", "male")]
+        bases = [blocks[pid].fit.mean_fn for pid in ("female", "male")]
     elif model == "wmfpca":
-        terms = [[(result.score_forecasts, result.fit.multi_eigenfunctions[i])]
+        fit = blocks[""].fit
+        terms = [[(blocks[""].forecasts, fit.multi_eigenfunctions[i])]
                  for i in range(2)]
-        bases = [result.fit.per_pop_fits[i].mean_fn for i in range(2)]
+        bases = [fit.per_pop_fits[i].mean_fn for i in range(2)]
     elif model == "coherent":
+        common, deviations = blocks["common"], blocks["deviations"]
         terms = [
             [
-                (result.common_forecasts, result.fit.common_fit.eigenfunctions),
-                (result.deviation_forecasts,
-                 result.fit.deviation_fit.multi_eigenfunctions[i]),
+                (common.forecasts, common.fit.eigenfunctions),
+                (deviations.forecasts, deviations.fit.multi_eigenfunctions[i]),
             ]
             for i in range(2)
         ]
-        bases = [result.fit.total_mean + result.fit.deviation_means[i]
+        bases = [common.fit.mean_fn + deviations.fit.per_pop_fits[i].mean_fn
                  for i in range(2)]
     else:
+        product = blocks["product"]
+        ratios = [blocks["ratio_female"], blocks["ratio_male"]]
         terms = [
             [
-                (result.product_forecasts, result.product_fit.eigenfunctions),
-                (result.ratio_forecasts[i], result.ratio_fits[i].eigenfunctions),
+                (product.forecasts, product.fit.eigenfunctions),
+                (ratios[i].forecasts, ratios[i].fit.eigenfunctions),
             ]
             for i in range(2)
         ]
-        bases = [result.product_fit.mean_fn + result.ratio_fits[i].mean_fn
+        bases = [product.fit.mean_fn + ratios[i].fit.mean_fn
                  for i in range(2)]
 
     for i, surface in enumerate(surfaces):
@@ -161,28 +169,25 @@ def test_full_rank_in_sample_reconstruction(model, small_truth):
         np.testing.assert_allclose(recon, surface.log_rates, atol=1e-8)
 
 
-def test_in_sample_reconstruction_rejects_unknown_result():
-    with pytest.raises(TypeError):
-        in_sample_reconstruction(object())
-
-
 def test_coherent_identical_populations_forecast_no_gap(small_truth):
     curves = small_truth[0].log_rates
     result = fit_coherent([curves, curves.copy()], kappa=0.4, rule=RULE, h=30)
     surfaces = predict_interval(result)
     gap = surfaces[0].mean - surfaces[1].mean
     assert np.max(np.abs(gap)) < 1e-6
-    for mean in result.fit.deviation_means:
+    deviation_means = result.blocks[1].means
+    for mean in deviation_means:
         pass  # identical populations share one deviation mean
     np.testing.assert_allclose(
-        result.fit.deviation_means[0], result.fit.deviation_means[1], atol=1e-9
+        deviation_means[0], deviation_means[1], atol=1e-9
     )
 
 
 def test_product_ratio_ratios_cancel_across_populations(small_truth):
     result = fit_product_ratio(small_truth, rule=FULL_RANK, h=1)
+    ratio_fits = [block.fit for block in result.blocks[1:]]
     np.testing.assert_allclose(
-        result.ratio_fits[0].mean_fn + result.ratio_fits[1].mean_fn, 0.0, atol=1e-12
+        ratio_fits[0].mean_fn + ratio_fits[1].mean_fn, 0.0, atol=1e-12
     )
 
 

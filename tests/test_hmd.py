@@ -252,6 +252,20 @@ def test_surface_csv_schema_violations(tmp_path, body):
     with pytest.raises(SchemaMismatch):
         read_surface_csv(path)
 
+    matrix_body = [ln.replace("log_rate", "sigma") for ln in body]
+    path.write_text("\n".join(matrix_body) + "\n" if body else "")
+    with pytest.raises(SchemaMismatch):
+        read_matrix_csv(path, "sigma")
+
+
+def test_non_ascii_csv_is_a_schema_mismatch(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"year,age,sigma\n2000,0,1.0\xe9\n")
+    with pytest.raises(SchemaMismatch):
+        read_matrix_csv(path, "sigma")
+    with pytest.raises(SchemaMismatch):
+        read_surface_csv(path)
+
 
 def test_io_errors_are_wrapped(tmp_path):
     with pytest.raises(IoError):
