@@ -326,9 +326,9 @@ def cmd_fit(cfg: RunConfig) -> int:
         path = os.path.join(out, block.name)
         if block.joint:
             pids = [result.population_ids[i] for i in block.covers]
-            save_mfpca_fit(block.fit, bundle.years, pids, path)
+            save_mfpca_fit(block.fit, bundle.years, bundle.ages, pids, path)
         else:
-            save_fpca_fit(block.fit, bundle.years, path)
+            save_fpca_fit(block.fit, bundle.years, bundle.ages, path)
         print(f"{block.name or 'joint'}: {block.fit.n_components} components, "
               f"shares {np.round(block.fit.var_explained, 4)}")
     return 0
@@ -398,6 +398,9 @@ def cmd_diagnose(cfg: RunConfig) -> int:
     out = _require_out(cfg)
     bundle, residuals = _prepared_bundle(cfg)
     male_i, female_i = _sex_pair(bundle)
+    if bundle.ages[0] != 0:
+        raise ConfigError(f"diagnose reports life expectancy at birth and needs age 0; "
+                          f"the ages start at {bundle.ages[0]}")
     kappa = _resolve_kappa(cfg, bundle)
     result = fit_model(bundle, cfg.model, h=cfg.h, kappa=kappa, rule=cfg.rule,
                        weight_power=cfg.weight_power)

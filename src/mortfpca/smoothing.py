@@ -187,8 +187,6 @@ def smooth_surface(surface, config: SmoothConfig | None = None):
     Returns the smoothed surface (kind ``smoothed``) and the
     :class:`ResidualField` of absolute deviations from the input.
     """
-    from .hmd import MortalitySurface  # local import to avoid a cycle
-
     if config is None:
         config = SmoothConfig()
     rates = surface.log_rates

@@ -18,8 +18,6 @@ from __future__ import annotations
 
 import os
 
-import numpy as np
-
 from .errors import IoError
 
 
@@ -36,7 +34,7 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def _save_decomposition(outdir, years, eigenvalues, var_explained, scores, pieces) -> None:
+def _save_decomposition(outdir, years, ages, eigenvalues, var_explained, scores, pieces) -> None:
     """Spectrum and scores, then one mean/eigenfunctions pair per (suffix, mean, loadings)."""
     os.makedirs(outdir, exist_ok=True)
     n = eigenvalues.size
@@ -53,7 +51,6 @@ def _save_decomposition(outdir, years, eigenvalues, var_explained, scores, piece
     write_lines(os.path.join(outdir, "scores.csv"), [header] + rows)
 
     for suffix, mean, loadings in pieces:
-        ages = np.arange(mean.size)
         write_lines(
             os.path.join(outdir, f"mean{suffix}.csv"),
             ["age,mean"] + [f"{a},{_fmt(v)}" for a, v in zip(ages, mean)],
@@ -66,19 +63,19 @@ def _save_decomposition(outdir, years, eigenvalues, var_explained, scores, piece
         write_lines(os.path.join(outdir, f"eigenfunctions{suffix}.csv"), [header] + rows)
 
 
-def save_fpca_fit(fit, years, outdir) -> None:
+def save_fpca_fit(fit, years, ages, outdir) -> None:
     """Persist one univariate fit as mean/eigenfunctions/eigenvalues/scores."""
-    _save_decomposition(outdir, years, fit.eigenvalues, fit.var_explained, fit.scores,
+    _save_decomposition(outdir, years, ages, fit.eigenvalues, fit.var_explained, fit.scores,
                         [("", fit.mean_fn, fit.eigenfunctions)])
 
 
-def save_mfpca_fit(fit, years, population_ids, outdir) -> None:
+def save_mfpca_fit(fit, years, ages, population_ids, outdir) -> None:
     """Persist a joint fit: shared scores plus per-population pieces."""
     pieces = [
         (f"_{pid}", f.mean_fn, ef)
         for pid, f, ef in zip(population_ids, fit.per_pop_fits, fit.multi_eigenfunctions)
     ]
-    _save_decomposition(outdir, years, fit.joint_eigenvalues, fit.var_explained,
+    _save_decomposition(outdir, years, ages, fit.joint_eigenvalues, fit.var_explained,
                         fit.shared_scores, pieces)
 
 

@@ -1,16 +1,20 @@
 """Automatic ARIMA fitting for principal component score series.
 
 Small, fully deterministic grid search: orders p, q in {0, 1, 2} and, in
-nonstationary mode, d in {0, 1, 2}.  Parameters maximize the Gaussian
-conditional-sum-of-squares likelihood via Nelder-Mead.  Every cell
-conditions on the first ``N_COND`` values of its differenced series and
-additionally burns 2 - d leading residuals, so the likelihood sample size
-is identical across the whole grid and information criteria are
-comparable.  Model choice is by BIC, k log(n_eff) - 2 loglik, with
-k = p + q + 1 plus one for a drift term; AIC is recorded next to it.  BIC's
-penalty grows with the sample, so it identifies the true order consistently
-(Hannan 1980), whereas AIC's fixed penalty of 2 per parameter keeps a
-constant chance of choosing an overfit cell (Shibata 1976).
+nonstationary mode, d in {0, 1, 2}.  Parameters minimize the conditional
+sum of squares (CSS), which maximizes the Gaussian conditional likelihood.
+A pure AR cell is linear in (phi, c (1 - sum phi)) and is solved exactly by
+ordinary least squares; a cell with an MA part is solved by
+Levenberg-Marquardt on its residual vector with an analytic Jacobian
+(Box & Jenkins, CSS estimation).  Every cell conditions on the first
+``N_COND`` values of its differenced series and additionally burns 2 - d
+leading residuals, so the likelihood sample size is identical across the
+whole grid and information criteria are comparable.  Model choice is by
+BIC, k log(n_eff) - 2 loglik, with k = p + q + 1 plus one for a drift term;
+AIC is recorded next to it.  BIC's penalty grows with the sample, so it
+identifies the true order consistently (Hannan 1980), whereas AIC's fixed
+penalty of 2 per parameter keeps a constant chance of choosing an overfit
+cell (Shibata 1976).
 
 ``drift`` is the constant of the d-times differenced model: the process
 mean when d = 0 and the linear trend slope when d = 1.  Drift is never
@@ -20,8 +24,10 @@ Every cell must have AR roots (stationarity of the differenced model; unit
 roots belong in d) and MA roots (invertibility, without which the
 conditional likelihood degenerates) of modulus > 1.001; violating cells
 are rejected, which in particular stops an over-differenced model from
-undoing its differencing with a unit MA root.  Stationary mode further
-restricts the grid to d = 0 so forecasts stay mean-reverting.
+undoing its differencing with a unit MA root.  A cell whose
+Levenberg-Marquardt fit has not converged after ``MAX_ITER`` iterations is
+rejected too.  Stationary mode further restricts the grid to d = 0 so
+forecasts stay mean-reverting.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.linalg.lapack import dposv
 from scipy.signal import lfilter
 
 from .errors import NonFiniteInput, OptimFailed, SeriesTooShort
@@ -45,6 +51,10 @@ N_COND = MAX_ORDER
 MIN_OBS = 10
 #: AR and MA roots must exceed this modulus
 ROOT_MARGIN = 1.001
+#: Levenberg-Marquardt iterations allowed before a cell is rejected as unconverged
+MAX_ITER = 100
+#: a step that changes the SSE by at most this fraction of it ends the fit
+SSE_RTOL = 1e-12
 
 MODES = ("nonstationary", "stationary")
 
@@ -110,68 +120,116 @@ def _roots_ok(tail) -> bool:
     return bool(np.all(np.abs(np.roots(poly)) > ROOT_MARGIN))
 
 
-def _start_values(w: np.ndarray, p: int, q: int, include_drift: bool) -> np.ndarray:
-    c0 = float(np.mean(w)) if include_drift else 0.0
-    z = w - c0
-    ar0 = np.zeros(p)
-    if p and z.size > p + 1:
-        target = z[p:]
-        lags = np.column_stack([z[p - i : z.size - i] for i in range(1, p + 1)])
-        try:
-            ar0 = np.linalg.lstsq(lags, target, rcond=None)[0]
-        except np.linalg.LinAlgError:
-            ar0 = np.zeros(p)
-        ar0 = np.clip(np.nan_to_num(ar0), -0.95, 0.95)
-    parts = [ar0, np.zeros(q)]
+def _css_jacobian(w: np.ndarray, ar, ma, c: float, e: np.ndarray, include_drift: bool) -> np.ndarray:
+    """Derivatives of ``_css_residuals`` with respect to (ar, ma, drift).
+
+    e_t = theta(B)^-1 phi(B) (w_t - c), so each column is a plain derivative
+    of phi(B) (w_t - c) or of the MA recursion, filtered once by
+    1 / theta(B): -z_{t-i} for phi_i, -e_{t-j} for theta_j (zero before the
+    first residual) and -(1 - sum phi) for the drift.
+    """
+    z = w - c
+    n = z.size
+    m = n - N_COND
+    cols = [-z[N_COND - i : n - i] for i in range(1, len(ar) + 1)]
+    for j in range(1, len(ma) + 1):
+        cols.append(np.concatenate((np.zeros(j), -e[: m - j])))
     if include_drift:
-        parts.append([c0])
-    return np.concatenate(parts) if parts else np.empty(0)
+        cols.append(np.full(m, np.sum(ar) - 1.0))
+    theta = np.concatenate(([1.0], np.asarray(ma, float)))
+    return lfilter([1.0], theta, np.array(cols), axis=-1).T
+
+
+def _levenberg_marquardt(w: np.ndarray, x: np.ndarray, p: int, q: int, include_drift: bool,
+                         burn: int, cell: str) -> np.ndarray:
+    """Minimize the CSS of one cell from (ar, ma[, drift]) = ``x``; raises OptimFailed.
+
+    Damping is Marquardt-scaled, mu * diag(J'J), and mu follows Nielsen's
+    gain-ratio rule (Madsen, Nielsen & Tingleff 2004, sec. 3.2).  The fit
+    has converged once a step changes the SSE by at most ``SSE_RTOL`` of
+    itself; a step that raises the SSE is never taken.
+    """
+
+    def residuals(x):
+        c = x[p + q] if include_drift else 0.0
+        e = _css_residuals(w, x[:p], x[p : p + q], c)
+        r = e[burn:]
+        return e, r, float(r @ r)
+
+    def normal_equations(x, e, r):
+        c = x[p + q] if include_drift else 0.0
+        jac = _css_jacobian(w, x[:p], x[p : p + q], c, e, include_drift)[burn:]
+        return jac.T @ jac, jac.T @ r
+
+    e, r, sse = residuals(x)
+    jtj, grad = normal_equations(x, e, r)
+    mu, nu = 1e-3, 2.0
+    for _ in range(MAX_ITER):
+        if sse == 0.0 or not grad.any():
+            return x
+        scale = np.diag(jtj)
+        _, step, info = dposv(jtj + mu * np.diag(scale), -grad)
+        if info:
+            raise OptimFailed(f"{cell} has a singular Jacobian")
+        e_new, r_new, sse_new = residuals(x + step)
+        if abs(sse - sse_new) <= SSE_RTOL * sse:
+            return x + step if sse_new < sse else x
+        # predicted SSE reduction of the damped Gauss-Newton model
+        gain = (sse - sse_new) / float(step @ (mu * scale * step - grad))
+        if math.isfinite(sse_new) and gain > 0:
+            x, e, r, sse = x + step, e_new, r_new, sse_new
+            jtj, grad = normal_equations(x, e, r)
+            mu *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
+            nu = 2.0
+        else:
+            mu *= nu
+            nu *= 2.0
+    raise OptimFailed(f"{cell} did not converge in {MAX_ITER} iterations")
 
 
 def _fit_cell(w: np.ndarray, p: int, d: int, q: int, include_drift: bool, mode: str) -> ArimaSpec:
-    """CSS fit of one grid cell on the already d-differenced series ``w``."""
+    """CSS fit of one grid cell on the already d-differenced series ``w``.
+
+    A pure AR cell is linear in (phi, c (1 - sum phi)) and is solved by one
+    least-squares regression on its lags; a cell with an MA part goes on
+    from there by Levenberg-Marquardt.
+    """
+    cell = f"cell ({p},{d},{q})"
     # burning 2 - d extra residuals gives every d the same likelihood sample
     burn = MAX_D - d
     n_eff = w.size - N_COND - burn
     k = p + q + 1 + (1 if include_drift else 0)
     if n_eff < k + 2:
-        raise OptimFailed(f"cell ({p},{d},{q}) needs more observations")
+        raise OptimFailed(f"{cell} needs more observations")
 
-    def objective(x):
-        ar = x[:p]
-        ma = x[p : p + q]
-        c = x[p + q] if include_drift else 0.0
-        e = _css_residuals(w, ar, ma, c)[burn:]
-        sse = float(e @ e)
-        if not math.isfinite(sse):
-            return 1e12
-        return n_eff * math.log(max(sse / n_eff, 1e-300))
-
-    n_free = p + q + (1 if include_drift else 0)
-    if n_free == 0:
-        x = np.empty(0)
-    else:
-        res = minimize(
-            objective,
-            _start_values(w, p, q, include_drift),
-            method="Nelder-Mead",
-            options={"xatol": 1e-8, "fatol": 1e-8, "maxfev": 2000},
-        )
-        x = res.x
-        if not (np.all(np.isfinite(x)) and math.isfinite(res.fun)):
-            raise OptimFailed(f"simplex search failed for cell ({p},{d},{q})")
+    lo = N_COND + burn
+    cols = [w[lo - i : w.size - i] for i in range(1, p + 1)]
+    if include_drift:
+        cols.append(np.ones(n_eff))
+    x = np.linalg.lstsq(np.column_stack(cols), w[lo:], rcond=None)[0] if cols else np.empty(0)
+    if q:
+        # start from the cell's pure-AR fit, theta = 0 and the drift at the sample mean
+        x = np.concatenate((x[:p], np.zeros(q), [np.mean(w)] if include_drift else []))
+        # trial steps may leave the invertible region, where residuals overflow
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = _levenberg_marquardt(w, x, p, q, include_drift, burn, cell)
+    if not np.all(np.isfinite(x)):
+        raise OptimFailed(f"non-finite parameters for {cell}")
 
     ar = x[:p].copy()
     ma = x[p : p + q].copy()
-    c = float(x[p + q]) if include_drift else 0.0
     if not _roots_ok(-ar):
-        raise OptimFailed(f"cell ({p},{d},{q}) violates the AR stationarity margin")
+        raise OptimFailed(f"{cell} violates the AR stationarity margin")
     if not _roots_ok(ma):
-        raise OptimFailed(f"cell ({p},{d},{q}) violates the MA invertibility margin")
+        raise OptimFailed(f"{cell} violates the MA invertibility margin")
+    c = float(x[p + q]) if include_drift else 0.0
+    if include_drift and q == 0:
+        # the regression estimated the intercept c (1 - sum phi); the margin excludes a unit root
+        c /= 1.0 - float(np.sum(ar))
     e = _css_residuals(w, ar, ma, c)[burn:]
     sse = float(e @ e)
     if not math.isfinite(sse) or sse < 0:
-        raise OptimFailed(f"non-finite residuals for cell ({p},{d},{q})")
+        raise OptimFailed(f"non-finite residuals for {cell}")
     sigma2 = max(sse / n_eff, 1e-300)
     loglik = -0.5 * n_eff * (math.log(2 * math.pi) + math.log(sigma2) + 1.0)
     return ArimaSpec(
@@ -254,8 +312,8 @@ def fit_auto(series, mode: str = "nonstationary") -> ArimaSpec:
     """Minimum-BIC ARIMA over the order grid.
 
     Nonstationary mode searches d in {0, 1, 2} with drift offered for
-    d <= 1; stationary mode fixes d = 0.  Cells whose optimization fails or
-    whose roots land on or inside the margin are skipped; if every cell
+    d <= 1; stationary mode fixes d = 0.  Cells whose fit does not converge
+    or whose roots land on or inside the margin are skipped; if every cell
     fails the fallback model is returned with ``fallback=True``.
     """
     series = _validate_series(series)

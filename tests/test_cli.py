@@ -64,6 +64,19 @@ def smooth_dir(tmp_path_factory, obs_dir):
     return out
 
 
+@pytest.fixture(scope="module")
+def late_ages_dir(tmp_path_factory):
+    """Observed female and male surfaces on ages 40-70 only."""
+    out = tmp_path_factory.mktemp("ages40")
+    rng = np.random.default_rng(5)
+    ages = np.arange(40, 71)
+    base = -9.0 + 0.085 * ages - 0.012 * np.arange(YEARS.size)[:, None]
+    for pid, shift in (("female", -0.22), ("male", 0.22)):
+        rates = base + shift + rng.normal(0.0, 0.02, base.shape)
+        write_surface_csv(MortalitySurface(pid, YEARS, ages, rates), out / f"{pid}.csv")
+    return out
+
+
 def read_bytes_tree(root):
     return {p.name: p.read_bytes() for p in sorted(root.iterdir()) if p.is_file()}
 
@@ -192,6 +205,18 @@ def test_fit_joint_model_of_one_population_keeps_joint_layout(tmp_path, smooth_d
     names = {p.name for p in out.iterdir()}
     assert names == {"eigenvalues.csv", "scores.csv", "mean_female.csv",
                      "eigenfunctions_female.csv"}
+
+
+@pytest.mark.parametrize("model, mean_file", [("independent", "female/mean.csv"),
+                                              ("wmfpca", "mean_female.csv")])
+def test_fit_files_are_labelled_with_the_surface_ages(tmp_path, late_ages_dir, model, mean_file):
+    rc = main(["fit", "--data", str(late_ages_dir), "--out", str(tmp_path),
+               "--model", model, "--kappa", "0.6", "--ncomp", "1"])
+    assert rc == 0
+    ef_file = mean_file.replace("mean", "eigenfunctions")
+    for name in (mean_file, ef_file):
+        rows = (tmp_path / name).read_text().splitlines()[1:]
+        assert [int(row.split(",")[0]) for row in rows] == list(range(40, 71))
 
 
 def test_fixed_component_count_caps_serialized_spectrum(tmp_path, smooth_dir):
@@ -363,6 +388,15 @@ def test_diagnose_needs_both_sexes(tmp_path, smooth_dir, capsys):
                "--model", "independent", "--h", "2"])
     assert rc == 1
     assert_error_line(capsys, "cli", "ConfigError")
+
+
+def test_diagnose_needs_age_zero(tmp_path, late_ages_dir, capsys):
+    out = tmp_path / "out"
+    rc = main(["diagnose", "--data", str(late_ages_dir), "--out", str(out),
+               "--model", "independent", "--h", "2"])
+    assert rc == 1
+    assert_error_line(capsys, "cli", "ConfigError")
+    assert not (out / "e0.csv").exists()
 
 
 def test_diagnose_unwritable_e0_target_is_an_io_error(tmp_path, smooth_dir, capsys):

@@ -5,7 +5,6 @@ import pytest
 
 from mortfpca.components import FULL_RANK, ComponentRule
 from mortfpca.errors import EmptyBundle, IndexOutOfRange
-from mortfpca.hmd import MortalitySurface, SurfaceBundle
 from mortfpca.mfpca import (
     fit_mfpca,
     reconstruct_all_mfpca,

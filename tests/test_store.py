@@ -30,7 +30,7 @@ def read_all(outdir):
 
 def test_fpca_fit_files_and_schemas(tmp_path, ufpca_fit):
     years = np.arange(2000, 2008)
-    save_fpca_fit(ufpca_fit, years, tmp_path)
+    save_fpca_fit(ufpca_fit, years, np.arange(5), tmp_path)
     n = ufpca_fit.n_components
 
     mean = (tmp_path / "mean.csv").read_text().splitlines()
@@ -53,8 +53,8 @@ def test_fpca_fit_files_and_schemas(tmp_path, ufpca_fit):
 def test_fpca_fit_serialization_is_deterministic(tmp_path, ufpca_fit):
     years = np.arange(2000, 2008)
     a, b = tmp_path / "a", tmp_path / "b"
-    save_fpca_fit(ufpca_fit, years, a)
-    save_fpca_fit(ufpca_fit, years, b)
+    save_fpca_fit(ufpca_fit, years, np.arange(5), a)
+    save_fpca_fit(ufpca_fit, years, np.arange(5), b)
     assert read_all(a) == read_all(b)
 
 
@@ -62,7 +62,7 @@ def test_mfpca_fit_files(tmp_path):
     rng = np.random.default_rng(1)
     curves = [rng.normal(-4, 1, (7, 4)) for _ in range(2)]
     fit = fit_mfpca(curves, uniform_weights(7), ComponentRule(threshold=0.9))
-    save_mfpca_fit(fit, np.arange(1990, 1997), ["f", "m"], tmp_path)
+    save_mfpca_fit(fit, np.arange(1990, 1997), np.arange(4), ["f", "m"], tmp_path)
     names = {p.name for p in tmp_path.iterdir()}
     assert names == {
         "eigenvalues.csv", "scores.csv",

@@ -4,11 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.signal import lfilter
 
 from mortfpca.errors import NonFiniteInput, OptimFailed, SeriesTooShort
 from mortfpca.tsmodels import (
     MIN_OBS,
     ArimaSpec,
+    _css_jacobian,
     _css_residuals,
     _fallback_spec,
     _roots_ok,
@@ -139,6 +141,84 @@ def test_loglik_and_aic_bookkeeping():
     assert np.isclose(spec.aic, 2.0 * 4 - 2.0 * loglik, rtol=1e-9)
     assert np.isclose(spec.bic, 4 * math.log(n_eff) - 2.0 * loglik, rtol=1e-9)
     assert spec.n_params == 4
+
+
+# ---------------------------------------------------------------------------
+# cell fitter: exact least squares for AR cells, Levenberg-Marquardt otherwise
+
+
+def arma_series(ar, ma, c, t, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(0.0, 1.0, t + 100)
+    z = lfilter(np.r_[1.0, ma], np.r_[1.0, -np.asarray(ar, float)], a)[100:]
+    return c + z
+
+
+def test_css_jacobian_matches_finite_differences():
+    w = arma_series([0.5, -0.2], [0.4, 0.3], 1.5, 60, seed=5)
+    x = np.array([0.3, -0.1, 0.2, -0.35, 1.2])  # ar, ma, drift of an ARMA(2,2) cell
+
+    def resid(x):
+        return _css_residuals(w, x[:2], x[2:4], x[4])
+
+    jac = _css_jacobian(w, x[:2], x[2:4], x[4], resid(x), include_drift=True)
+    step = 1e-6
+    numeric = np.column_stack([
+        (resid(x + step * unit) - resid(x - step * unit)) / (2 * step) for unit in np.eye(5)
+    ])
+    np.testing.assert_allclose(jac, numeric, atol=1e-8)
+
+
+@pytest.mark.parametrize("order, include_drift", [((2, 0, 0), True), ((1, 1, 0), True), ((2, 0, 0), False)])
+def test_pure_ar_cell_is_the_least_squares_solution(order, include_drift):
+    series = arma_series([0.6, 0.2], [], 3.0, 50, seed=8)
+    spec = fit_spec(series, order, include_drift)
+    p, d, _ = order
+    w = np.diff(series, d) if d else series
+    lo = 2 + (2 - d)  # conditioning points plus the cross-grid burn
+    design = [w[lo - i : w.size - i] for i in range(1, p + 1)]
+    if include_drift:
+        design.append(np.ones(w.size - lo))
+    coef = np.linalg.lstsq(np.column_stack(design), w[lo:], rcond=None)[0]
+    np.testing.assert_allclose(spec.ar, coef[:p], atol=1e-12)
+    if include_drift:
+        assert np.isclose(spec.drift * (1.0 - spec.ar.sum()), coef[p], atol=1e-12)
+
+
+@pytest.mark.parametrize("seed, ar, ma", [(11, [0.6], [0.4]), (12, [], [-0.5, 0.2]), (13, [0.3, 0.3], [0.5])])
+def test_accepted_ma_cells_are_first_order_optimal(seed, ar, ma):
+    series = np.cumsum(arma_series(ar, ma, 0.2, 60, seed=seed))
+    accepted = 0
+    for d in (0, 1, 2):
+        w = np.diff(series, d) if d else series
+        for p in range(3):
+            for q in (1, 2):
+                for include_drift in ((False, True) if d <= 1 else (False,)):
+                    try:
+                        spec = fit_spec(series, (p, d, q), include_drift)
+                    except OptimFailed:
+                        continue
+                    accepted += 1
+                    e = _css_residuals(w, spec.ar, spec.ma, spec.drift)
+                    jac = _css_jacobian(w, spec.ar, spec.ma, spec.drift, e, include_drift)[2 - d :]
+                    e = e[2 - d :]
+                    grad = np.linalg.norm(jac.T @ e)
+                    assert grad <= 1e-5 * np.linalg.norm(jac) * np.linalg.norm(e), (p, d, q, include_drift)
+    assert accepted >= 10
+
+
+def test_ma1_recovery():
+    series = arma_series([], [0.5], 0.0, 200, seed=44)
+    spec = fit_spec(series, (0, 0, 1), mode="stationary")
+    assert abs(spec.ma[0] - 0.5) < 0.1
+
+
+def test_unconverged_cell_is_rejected():
+    # on over-differenced white noise the CSS of an ARIMA(2,2,2) keeps falling
+    # as an MA root moves inside the unit circle, so the fit never settles
+    noise = np.random.default_rng(0).normal(0.0, 1.0, 40)
+    with pytest.raises(OptimFailed, match="did not converge"):
+        fit_spec(noise, (2, 2, 2))
 
 
 @pytest.mark.parametrize("mode", ["nonstationary", "stationary"])
