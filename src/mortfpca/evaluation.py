@@ -10,7 +10,8 @@ observed years.  Errors pool over windows and ages:
 
 Smoothing is done once up front; each year's curve is smoothed
 independently of the others, so per-window smoothing would give identical
-training inputs.
+training inputs.  For the same reason ``tune_kappa`` smooths the bundle
+once and scores every kappa on that one smoothed bundle.
 """
 
 from __future__ import annotations
@@ -53,29 +54,13 @@ def smooth_bundle(surfaces, smooth_config: SmoothConfig | None = None):
     return SurfaceBundle(smoothed), fields
 
 
-def rolling_rmse(
-    bundle,
-    model: str,
-    h: int,
-    windows: int = 10,
-    kappa: float | None = None,
-    rule: ComponentRule | None = None,
-    smooth_config: SmoothConfig | None = None,
-    weight_power: float = 1.0,
-    country: str = "",
-) -> EvalReport:
-    """Rolling-origin RMSE of one model against observed log rates.
-
-    ``bundle`` holds the full observed surfaces.  Each window's model is
-    fitted on smoothed training curves only; accuracy is measured on the
-    raw observed curves of the target year.
-    """
+def _check_design(bundle, model: str, h: int, windows: int) -> None:
+    """Reject a model name, horizon or window count the bundle cannot support."""
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}; choose from {MODELS}")
     if h < 1 or windows < 1:
         raise ValueError("h and windows must be positive")
-    years = bundle.years
-    first_year, last_year = int(years[0]), int(years[-1])
+    first_year, last_year = int(bundle.years[0]), int(bundle.years[-1])
     first_train_end = last_year - windows - h + 1
     if first_train_end - first_year + 1 < MIN_OBS:
         raise InsufficientSpan(
@@ -83,7 +68,12 @@ def rolling_rmse(
             f"{first_year + MIN_OBS + windows + h - 2} at least; have up to {last_year}"
         )
 
-    smoothed, _ = smooth_bundle(bundle, smooth_config)
+
+def _rolling_report(bundle, smoothed, model, h, windows, kappa, rule, weight_power,
+                    country="") -> EvalReport:
+    """Rolling RMSE of ``model`` fitted on ``smoothed``, scored on ``bundle``."""
+    first_year, last_year = int(bundle.years[0]), int(bundle.years[-1])
+    first_train_end = last_year - windows - h + 1
     n_ages = bundle.ages.size
     sq_err = {pid: 0.0 for pid in bundle.population_ids}
     for w in range(windows):
@@ -111,6 +101,29 @@ def rolling_rmse(
     )
 
 
+def rolling_rmse(
+    bundle,
+    model: str,
+    h: int,
+    windows: int = 10,
+    kappa: float | None = None,
+    rule: ComponentRule | None = None,
+    smooth_config: SmoothConfig | None = None,
+    weight_power: float = 1.0,
+    country: str = "",
+) -> EvalReport:
+    """Rolling-origin RMSE of one model against observed log rates.
+
+    ``bundle`` holds the full observed surfaces.  Each window's model is
+    fitted on smoothed training curves only; accuracy is measured on the
+    raw observed curves of the target year.
+    """
+    _check_design(bundle, model, h, windows)
+    smoothed, _ = smooth_bundle(bundle, smooth_config)
+    return _rolling_report(bundle, smoothed, model, h, windows, kappa, rule, weight_power,
+                           country)
+
+
 def tune_kappa(
     bundle,
     model: str,
@@ -123,19 +136,20 @@ def tune_kappa(
 ) -> float:
     """Decay rate from ``grid`` minimizing the rolling average RMSE.
 
-    Exhaustive search; ties resolve to the smallest kappa.
+    Exhaustive search; ties resolve to the smallest kappa.  The bundle is
+    smoothed once, and every kappa is scored on that smoothed bundle.
     """
     grid = DEFAULT_KAPPA_GRID if grid is None else np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise KappaOutOfRange("empty kappa grid")
     if np.any((grid <= 0) | (grid >= 1)):
         raise KappaOutOfRange("kappa candidates must lie in (0, 1)")
+    _check_design(bundle, model, h, windows)
+    smoothed, _ = smooth_bundle(bundle, smooth_config)
     best_kappa, best_rmse = None, np.inf
     for kappa in np.sort(grid):
-        report = rolling_rmse(
-            bundle, model, h, windows=windows, kappa=float(kappa), rule=rule,
-            smooth_config=smooth_config, weight_power=weight_power,
-        )
+        report = _rolling_report(bundle, smoothed, model, h, windows, float(kappa), rule,
+                                 weight_power)
         if report.avg_rmse < best_rmse:
             best_kappa, best_rmse = float(kappa), report.avg_rmse
     return best_kappa

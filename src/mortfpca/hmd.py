@@ -257,21 +257,30 @@ def impute_missing(surface: MortalitySurface) -> MortalitySurface:
 # CSV persistence
 
 
-def _format_value(v: float) -> str:
-    return "%.17g" % v
+def _write_grid(path, head, years, ages, values) -> None:
+    """Write ``head`` lines, then one ``year,age,value`` row per grid cell.
+
+    Values carry 17 significant digits, enough to round-trip any double.
+    """
+    years, ages = np.asarray(years).tolist(), np.asarray(ages).tolist()
+    values = np.asarray(values, dtype=float)
+    if values.shape != (len(years), len(ages)):
+        raise ValueError(f"values shape {values.shape} does not match "
+                         f"{len(years)} years x {len(ages)} ages")
+    try:
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write("\n".join(head) + "\n")
+            for year, row in zip(years, values):
+                fh.write("".join(f"{year},{age},{v:.17g}\n"
+                                 for age, v in zip(ages, row.tolist())))
+    except OSError as exc:
+        raise IoError(f"cannot write {path}: {exc}") from exc
 
 
 def write_surface_csv(surface: MortalitySurface, path) -> None:
     """Write ``year,age,log_rate`` rows, 17 significant digits per value."""
-    lines = [f"# population_id={surface.population_id} kind={surface.kind}", CSV_HEADER]
-    for t, year in enumerate(surface.years):
-        for j, age in enumerate(surface.ages):
-            lines.append(f"{year},{age},{_format_value(surface.log_rates[t, j])}")
-    try:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    head = [f"# population_id={surface.population_id} kind={surface.kind}", CSV_HEADER]
+    _write_grid(path, head, surface.years, surface.ages, surface.log_rates)
 
 
 def _read_grid(path, value_column: str):
@@ -340,16 +349,7 @@ def read_surface_csv(path) -> MortalitySurface:
 
 def write_matrix_csv(years, ages, values, path, value_column: str) -> None:
     """Persist any year-by-age matrix with the surface layout."""
-    values = np.asarray(values, dtype=float)
-    lines = [f"year,age,{value_column}"]
-    for t, year in enumerate(years):
-        for j, age in enumerate(ages):
-            lines.append(f"{year},{age},{_format_value(values[t, j])}")
-    try:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    _write_grid(path, [f"year,age,{value_column}"], years, ages, values)
 
 
 def read_matrix_csv(path, value_column: str):

@@ -6,6 +6,11 @@ the penalty weight chosen by generalized cross-validation over a fixed
 lambda grid.  Old-age log rates are expected to rise, so fitted values above
 ``monotone_from_age`` are projected onto the non-decreasing cone with
 pool-adjacent-violators.
+
+The work is batched over the years of a surface: the design, the penalty
+and the effective degrees of freedom do not depend on the curve, so each
+lambda costs one linear solve with every year as a right-hand side.  Every
+year still gets its own lambda, exactly as if it were fitted alone.
 """
 
 from __future__ import annotations
@@ -109,8 +114,69 @@ def pava_nondecreasing(y: np.ndarray) -> np.ndarray:
     return out
 
 
+def penalized_fit_rows(rows: np.ndarray, config: SmoothConfig, x: np.ndarray | None = None):
+    """GCV-chosen penalized spline fit of each row of a T x n array.
+
+    Each row gets the first lambda of ``config.lambda_grid`` at which its GCV
+    score reaches its minimum, as if it were fitted on its own.
+
+    Returns
+    -------
+    fitted : ndarray, shape (T, n)
+        Fitted values on the input grid (no monotone projection).
+    coef : ndarray, shape (T, basis_dim)
+        Spline coefficients of each row's winning fit.
+    lam : ndarray, shape (T,)
+        The chosen penalty weight of each row.
+    """
+    rows = np.asarray(rows, dtype=float)
+    if rows.ndim != 2:
+        raise ValueError("expected a T x n array of curves")
+    if not np.all(np.isfinite(rows)):
+        raise NonFiniteInput("curve contains non-finite values")
+    n_rows, n = rows.shape
+    if x is None:
+        x = np.arange(n, dtype=float)
+    if n < config.basis_dim:
+        raise SingularSystem(
+            f"{n} observations cannot support basis_dim={config.basis_dim}"
+        )
+
+    design = bspline_design(x, config.basis_dim)
+    penalty = difference_penalty(config.basis_dim, config.penalty_order)
+    btb = design.T @ design
+    bty = design.T @ rows.T
+
+    best_gcv = None
+    best_fitted = np.empty((n_rows, n))
+    best_coef = np.empty((n_rows, config.basis_dim))
+    best_lam = np.empty(n_rows)
+    for lam in config.lambda_grid:
+        system = btb + lam * penalty
+        try:
+            coef = np.linalg.solve(system, bty).T
+            edf = np.trace(np.linalg.solve(system, btb))
+        except np.linalg.LinAlgError as exc:
+            raise SingularSystem(f"penalized system singular at lambda={lam}") from exc
+        fitted = coef @ design.T
+        rss = np.sum((rows - fitted) ** 2, axis=1)
+        denom = n - edf
+        gcv = np.full(n_rows, np.inf) if denom <= 0 else n * rss / denom**2
+        # strict < keeps the first lambda that reaches each row's minimum
+        take = np.ones(n_rows, bool) if best_gcv is None else gcv < best_gcv
+        best_gcv = np.where(take, gcv, best_gcv)
+        best_fitted[take] = fitted[take]
+        best_coef[take] = coef[take]
+        best_lam[take] = lam
+    if not np.all(np.isfinite(best_fitted)):
+        raise SingularSystem("fit produced non-finite values")
+    return best_fitted, best_coef, best_lam
+
+
 def penalized_fit(y: np.ndarray, config: SmoothConfig, x: np.ndarray | None = None):
     """GCV-chosen penalized spline fit of one curve.
+
+    The single-row case of :func:`penalized_fit_rows`.
 
     Returns
     -------
@@ -124,39 +190,17 @@ def penalized_fit(y: np.ndarray, config: SmoothConfig, x: np.ndarray | None = No
     y = np.asarray(y, dtype=float)
     if y.ndim != 1:
         raise ValueError("expected a single curve")
-    if not np.all(np.isfinite(y)):
-        raise NonFiniteInput("curve contains non-finite values")
-    if x is None:
-        x = np.arange(y.size, dtype=float)
-    if y.size < config.basis_dim:
-        raise SingularSystem(
-            f"{y.size} observations cannot support basis_dim={config.basis_dim}"
-        )
+    fitted, coef, lam = penalized_fit_rows(y[np.newaxis], config, x)
+    return fitted[0], coef[0], float(lam[0])
 
-    design = bspline_design(x, config.basis_dim)
-    penalty = difference_penalty(config.basis_dim, config.penalty_order)
-    btb = design.T @ design
-    bty = design.T @ y
-    n = y.size
 
-    best = None
-    for lam in config.lambda_grid:
-        system = btb + lam * penalty
-        try:
-            coef = np.linalg.solve(system, bty)
-            edf = np.trace(np.linalg.solve(system, btb))
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystem(f"penalized system singular at lambda={lam}") from exc
-        fitted = design @ coef
-        rss = float(np.sum((y - fitted) ** 2))
-        denom = n - edf
-        gcv = np.inf if denom <= 0 else n * rss / denom**2
-        if best is None or gcv < best[0]:
-            best = (gcv, fitted, coef, float(lam))
-    _, fitted, coef, lam = best
-    if not np.all(np.isfinite(fitted)):
-        raise SingularSystem("fit produced non-finite values")
-    return fitted, coef, lam
+def _monotone_tail(fitted: np.ndarray, ages: np.ndarray, config: SmoothConfig) -> np.ndarray:
+    """Project each row's values at ages >= ``monotone_from_age``, in place."""
+    tail = np.flatnonzero(ages >= config.monotone_from_age)
+    if tail.size > 1:
+        for row in fitted:
+            row[tail] = pava_nondecreasing(row[tail])
+    return fitted
 
 
 def smooth_curve(
@@ -174,15 +218,11 @@ def smooth_curve(
         ages = np.arange(y.size)
     ages = np.asarray(ages)
     fitted, _, _ = penalized_fit(y, config, x=ages.astype(float))
-    tail = np.flatnonzero(ages >= config.monotone_from_age)
-    if tail.size > 1:
-        fitted = fitted.copy()
-        fitted[tail] = pava_nondecreasing(fitted[tail])
-    return fitted
+    return _monotone_tail(fitted[np.newaxis], ages, config)[0]
 
 
 def smooth_surface(surface, config: SmoothConfig | None = None):
-    """Smooth every year of a surface.
+    """Smooth every year of a surface, as :func:`smooth_curve` would one by one.
 
     Returns the smoothed surface (kind ``smoothed``) and the
     :class:`ResidualField` of absolute deviations from the input.
@@ -194,8 +234,7 @@ def smooth_surface(surface, config: SmoothConfig | None = None):
         raise NonFiniteInput(
             f"{surface.population_id}: impute missing values before smoothing"
         )
-    fitted = np.empty_like(rates)
-    for t in range(rates.shape[0]):
-        fitted[t] = smooth_curve(rates[t], config, ages=surface.ages)
+    fitted, _, _ = penalized_fit_rows(rates, config, x=surface.ages.astype(float))
+    fitted = _monotone_tail(fitted, surface.ages, config)
     smoothed = surface.copy_with(log_rates=fitted, kind="smoothed")
     return smoothed, residual_field(rates, fitted)

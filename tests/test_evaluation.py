@@ -133,30 +133,52 @@ def test_rolling_rmse_validation():
 def test_tune_kappa_minimizes_rolling_rmse(monkeypatch):
     seen = []
 
-    def fake_rolling(bundle, model, h, windows=10, kappa=None, rule=None,
-                     smooth_config=None, weight_power=1.0):
+    def fake_rolling(bundle, smoothed, model, h, windows, kappa, rule, weight_power,
+                     country=""):
         seen.append(kappa)
         return evaluation.EvalReport(
             country="", model=model, horizon=h, windows=windows, kappa=kappa,
             rmse={}, avg_rmse=abs(kappa - 0.35),
         )
 
-    monkeypatch.setattr(evaluation, "rolling_rmse", fake_rolling)
-    best = tune_kappa(constant_bundle(), "wmfpca", h=1, grid=[0.5, 0.2, 0.35])
+    monkeypatch.setattr(evaluation, "_rolling_report", fake_rolling)
+    best = tune_kappa(constant_bundle(), "wmfpca", h=1, grid=[0.5, 0.2, 0.35], windows=2,
+                      smooth_config=CONFIG)
     assert best == 0.35
     assert seen == [0.2, 0.35, 0.5]  # exhaustive, in sorted order
 
 
 def test_tune_kappa_ties_resolve_to_smallest(monkeypatch):
-    def fake_rolling(bundle, model, h, windows=10, kappa=None, rule=None,
-                     smooth_config=None, weight_power=1.0):
+    def fake_rolling(bundle, smoothed, model, h, windows, kappa, rule, weight_power,
+                     country=""):
         return evaluation.EvalReport(
             country="", model=model, horizon=h, windows=windows, kappa=kappa,
             rmse={}, avg_rmse=1.0,
         )
 
-    monkeypatch.setattr(evaluation, "rolling_rmse", fake_rolling)
-    assert tune_kappa(constant_bundle(), "wmfpca", h=1, grid=[0.9, 0.4, 0.6]) == 0.4
+    monkeypatch.setattr(evaluation, "_rolling_report", fake_rolling)
+    assert tune_kappa(constant_bundle(), "wmfpca", h=1, grid=[0.9, 0.4, 0.6], windows=2,
+                      smooth_config=CONFIG) == 0.4
+
+
+def test_tune_kappa_smooths_once_and_matches_rolling_rmse(monkeypatch, small_observed):
+    config = SmoothConfig(basis_dim=8)
+    grid = [0.2, 0.5, 0.8]
+    expected = min(grid, key=lambda k: rolling_rmse(
+        small_observed, "wmfpca", h=1, windows=1, kappa=k, smooth_config=config).avg_rmse)
+
+    calls = []
+    real_smooth = evaluation.smooth_surface
+
+    def counting_smooth(surface, config=None):
+        calls.append(surface.population_id)
+        return real_smooth(surface, config)
+
+    monkeypatch.setattr(evaluation, "smooth_surface", counting_smooth)
+    best = tune_kappa(small_observed, "wmfpca", h=1, grid=grid, windows=1,
+                      smooth_config=config)
+    assert calls == ["female", "male"]  # one smoothing per population, not per kappa
+    assert best == expected
 
 
 def test_tune_kappa_grid_validation():

@@ -302,3 +302,24 @@ def test_matrix_csv_round_trip(tmp_path):
     assert np.array_equal(back_years, years)
     assert np.array_equal(back_ages, ages)
     assert np.array_equal(back, grid)
+
+
+def test_csv_writers_format_extreme_values_like_printf(tmp_path):
+    values = np.array([
+        [-0.0, 5e-324, 1e300, np.finfo(float).max],
+        [0.1, 1 / 3, -2.2250738585072014e-308, 123456789.12345678],
+    ])
+    years, ages = np.array([1999, 2000]), np.array([0, 1, 2, 3])
+    expected = [f"{y},{a},{'%.17g' % np.float64(values[t, j])}"
+                for t, y in enumerate(years) for j, a in enumerate(ages)]
+    write_matrix_csv(years, ages, values, tmp_path / "m.csv", "sigma")
+    assert (tmp_path / "m.csv").read_text().splitlines() == ["year,age,sigma"] + expected
+    write_surface_csv(surface(values, years=years, ages=ages), tmp_path / "s.csv")
+    lines = (tmp_path / "s.csv").read_text().splitlines()
+    assert lines[1:] == [CSV_HEADER] + expected
+    assert read_matrix_csv(tmp_path / "m.csv", "sigma")[2].tobytes() == values.tobytes()
+
+
+def test_matrix_csv_rejects_a_grid_of_the_wrong_shape(tmp_path):
+    with pytest.raises(ValueError):
+        write_matrix_csv([2000], [0, 1], np.zeros((2, 2)), tmp_path / "m.csv", "sigma")

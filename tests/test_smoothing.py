@@ -15,6 +15,7 @@ from mortfpca.smoothing import (
     difference_penalty,
     pava_nondecreasing,
     penalized_fit,
+    penalized_fit_rows,
     residual_field,
     smooth_curve,
     smooth_surface,
@@ -159,6 +160,56 @@ def test_smooth_curve_enforces_monotone_tail():
     # the projection is confined to the tail: the infant decline survives
     head = fitted[ages < 65]
     assert np.any(np.diff(head) < 0)
+
+
+def _assert_batch_matches_rows(rates, ages, config):
+    """Each row's batch lambda is its own GCV argmin; the surface stacks smooth_curve."""
+    x = ages.astype(float)
+    _, _, lams = penalized_fit_rows(rates, config, x=x)
+    for row, lam in zip(rates, lams):
+        assert lam == config.lambda_grid[int(np.argmin(_gcv_oracle(row, config, x)))]
+    surface = MortalitySurface("pop", np.arange(2000, 2000 + rates.shape[0]), ages, rates)
+    smoothed, _ = smooth_surface(surface, config)
+    rowwise = np.vstack([smooth_curve(row, config, ages=ages) for row in rates])
+    np.testing.assert_allclose(smoothed.log_rates, rowwise, rtol=0, atol=1e-12)
+    return lams
+
+
+def test_smooth_surface_batch_equals_row_by_row():
+    rng = np.random.default_rng(21)
+    ages = np.arange(61)
+    base = -6.0 + 2.0 * np.exp(-ages / 5.0) + 0.06 * ages
+    # noise from 0.005 to 0.5 so that different rows want different lambdas
+    noise = np.geomspace(0.005, 0.5, 12)[:, None] * rng.normal(size=(12, ages.size))
+    config = SmoothConfig(basis_dim=15, monotone_from_age=40)
+    lams = _assert_batch_matches_rows(base + noise, ages, config)
+    assert np.unique(lams).size >= 2
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_rows=st.integers(1, 6),
+    basis_dim=st.integers(4, 10),
+    extra=st.integers(0, 15),
+    noise_sd=st.sampled_from([0.01, 0.1, 1.0]),
+)
+def test_smooth_surface_batch_equals_row_by_row_property(seed, n_rows, basis_dim, extra,
+                                                         noise_sd):
+    rng = np.random.default_rng(seed)
+    ages = np.arange(basis_dim + extra)
+    trend = np.sin(ages / (1.0 + ages.size / 3.0)) + 0.02 * ages
+    rates = -4.0 + trend + noise_sd * rng.normal(size=(n_rows, ages.size))
+    config = SmoothConfig(basis_dim=basis_dim, monotone_from_age=int(ages.size // 2))
+    _assert_batch_matches_rows(rates, ages, config)
+
+
+def test_penalized_fit_rows_rejects_one_non_finite_row():
+    rates = np.full((4, 12), -2.0)
+    rates[2, 5] = np.inf
+    with pytest.raises(NonFiniteInput):
+        penalized_fit_rows(rates, SmoothConfig(basis_dim=6))
+    with pytest.raises(ValueError):
+        penalized_fit_rows(np.zeros(12), SmoothConfig(basis_dim=6))
 
 
 def test_smooth_surface_returns_residual_field(small_observed):
