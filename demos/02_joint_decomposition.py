@@ -44,9 +44,9 @@ print(f"\njoint fit: {joint.n_components} shared components, "
       f"shares {np.round(joint.var_explained, 4)}")
 
 # the defining algebra: orthonormal basis, uncorrelated scores
-basis = np.hstack(joint.multi_eigenfunctions)
+basis = np.hstack(joint.loadings)
 gram = basis @ basis.T
-cov = joint.shared_scores.T @ joint.shared_scores / (t_len - 1)
+cov = joint.scores.T @ joint.scores / (t_len - 1)
 print(f"orthonormality defect: {np.max(np.abs(gram - np.eye(joint.n_components))):.2e}")
 if joint.n_components > 1:
     print(f"largest score cross-covariance: "
@@ -55,15 +55,15 @@ if joint.n_components > 1:
 line_chart(
     out_dir / "eigenfunctions.svg",
     bundle.ages,
-    [("female block, component 1", joint.multi_eigenfunctions[0][0]),
-     ("male block, component 1", joint.multi_eigenfunctions[1][0])],
+    [("female block, component 1", joint.loadings[0][0]),
+     ("male block, component 1", joint.loadings[1][0])],
     title="Leading joint eigenfunction by population",
     y_label="loading",
 )
 line_chart(
     out_dir / "scores.svg",
     bundle.years,
-    [("shared score 1", joint.shared_scores[:, 0])],
+    [("shared score 1", joint.scores[:, 0])],
     title="Shared score series",
     y_label="score",
 )

@@ -33,7 +33,7 @@ from .hmd import (
     read_surface_csv,
     write_surface_csv,
 )
-from .mfpca import MfpcaFit, fit_mfpca, reconstruct_all_mfpca, reconstruct_mfpca
+from .mfpca import fit_mfpca
 from .smoothing import ResidualField, SmoothConfig, smooth_curve, smooth_surface
 from .synthetic import hmd_text_from_bundle, synthetic_bundle
 from .tsmodels import (
@@ -50,8 +50,6 @@ from .ufpca import (
     WeightScheme,
     fit_ufpca,
     geometric_weights,
-    reconstruct,
-    reconstruct_all,
     uniform_weights,
 )
 
@@ -68,7 +66,6 @@ __all__ = [
     "FpcaFit",
     "LifeTable",
     "MODELS",
-    "MfpcaFit",
     "ModelResult",
     "MortalitySurface",
     "ResidualField",
@@ -95,10 +92,6 @@ __all__ = [
     "predict_interval",
     "psi_weights",
     "read_surface_csv",
-    "reconstruct",
-    "reconstruct_all",
-    "reconstruct_all_mfpca",
-    "reconstruct_mfpca",
     "rolling_rmse",
     "select_ncomp",
     "sex_ratio",

@@ -324,7 +324,7 @@ def cmd_fit(cfg: RunConfig) -> int:
                        weight_power=cfg.weight_power)
     for block in result.blocks:
         path = os.path.join(out, block.name)
-        if block.joint:
+        if block.fit.parts:
             pids = [result.population_ids[i] for i in block.covers]
             save_mfpca_fit(block.fit, bundle.years, bundle.ages, pids, path)
         else:

@@ -112,12 +112,6 @@ class AlphaOutOfRange(MortfpcaError):
     module = "forecasters"
 
 
-class IndexOutOfRange(MortfpcaError):
-    """Requested year or population index outside the fitted range."""
-
-    module = "forecasters"
-
-
 class ShapeMismatch(MortfpcaError):
     """Paired arrays disagree in shape."""
 

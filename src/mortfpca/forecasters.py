@@ -40,7 +40,7 @@ from scipy.stats import norm
 
 from .components import ComponentRule
 from .errors import AlphaOutOfRange, EmptyBundle
-from .mfpca import MfpcaFit, fit_mfpca, _extract_curves
+from .mfpca import fit_mfpca, _extract_curves
 from .smoothing import ResidualField
 from .tsmodels import fit_auto, forecast
 from .ufpca import (
@@ -48,7 +48,6 @@ from .ufpca import (
     WeightScheme,
     fit_ufpca,
     geometric_weights,
-    reconstruct_all,
     uniform_weights,
 )
 
@@ -81,27 +80,22 @@ class ForecastSurface:
 class Block:
     """One score-forecast x loading term of a model.
 
-    ``covers`` lists the population indices the block adds to.  ``means``
-    and ``loadings`` hold one entry per covered population, or a single
-    entry shared by all of them.  ``name`` is the block's ``mortfpca fit``
-    subdirectory; ``joint`` marks a block whose ``fit`` is an
-    :class:`MfpcaFit` rather than an :class:`FpcaFit`.
+    ``covers`` lists the population indices the block adds to.  ``fit``
+    holds either one slice, shared by every covered population, or one
+    slice per covered population (a joint fit).  ``name`` is the block's
+    ``mortfpca fit`` subdirectory.
     """
 
     name: str
     covers: list
-    fit: FpcaFit | MfpcaFit
-    means: list
-    loadings: list
-    scores: np.ndarray
+    fit: FpcaFit
     mode: str
     forecasts: list  # ScoreForecast per score column
-    joint: bool = False
 
     def entry(self, i: int):
         """Mean curve and loading matrix this block adds to population ``i``."""
-        k = 0 if len(self.means) == 1 else self.covers.index(i)
-        return self.means[k], self.loadings[k]
+        k = 0 if len(self.fit.means) == 1 else self.covers.index(i)
+        return self.fit.means[k], self.fit.loadings[k]
 
 
 @dataclass(eq=False)
@@ -128,48 +122,31 @@ def _bundle_parts(bundle):
     return curves, ids, years
 
 
-def _forecast_scores(scores: np.ndarray, mode: str, h: int):
-    out = []
-    for series in scores.T:
-        spec = fit_auto(series, mode=mode)
-        out.append(forecast(spec, series, h))
-    return out
-
-
 def _check_horizon(h: int):
     if h < 1:
         raise ValueError(f"horizon must be >= 1, got {h}")
 
 
-def _fpca_block(name, covers, fit: FpcaFit, mode: str, h: int) -> Block:
-    """A block from one univariate fit: a single mean and loading matrix."""
-    return Block(name, covers, fit, [fit.mean_fn], [fit.eigenfunctions], fit.scores,
-                 mode, _forecast_scores(fit.scores, mode, h))
-
-
-def _mfpca_block(name, covers, fit: MfpcaFit, mode: str, h: int) -> Block:
-    """A joint block: one mean and loading matrix per population, shared scores."""
-    return Block(name, covers, fit, [f.mean_fn for f in fit.per_pop_fits],
-                 list(fit.multi_eigenfunctions), fit.shared_scores, mode,
-                 _forecast_scores(fit.shared_scores, mode, h), joint=True)
+def _block(name, covers, fit: FpcaFit, mode: str, h: int) -> Block:
+    """A block that forecasts each score series of ``fit`` with an automatic ARIMA."""
+    forecasts = []
+    for series in fit.scores.T:
+        spec = fit_auto(series, mode=mode)
+        forecasts.append(forecast(spec, series, h))
+    return Block(name, covers, fit, mode, forecasts)
 
 
 def _year_weights(kappa: float | None, n_years: int) -> WeightScheme:
     return geometric_weights(kappa, n_years) if kappa is not None else uniform_weights(n_years)
 
 
-def fit_independent(bundle, rule: ComponentRule | None = None, h: int = 20,
-                    weights: WeightScheme | None = None) -> ModelResult:
-    """Per-population FPCA with nonstationary score models.
-
-    Unweighted unless an explicit :class:`WeightScheme` is supplied.
-    """
+def fit_independent(bundle, rule: ComponentRule | None = None, h: int = 20) -> ModelResult:
+    """Unweighted per-population FPCA with nonstationary score models."""
     _check_horizon(h)
     curves, ids, years = _bundle_parts(bundle)
-    if weights is None:
-        weights = uniform_weights(curves[0].shape[0])
+    weights = uniform_weights(curves[0].shape[0])
     blocks = [
-        _fpca_block(pid, [i], fit_ufpca(c, weights, rule), "nonstationary", h)
+        _block(pid, [i], fit_ufpca(c, weights, rule), "nonstationary", h)
         for i, (pid, c) in enumerate(zip(ids, curves))
     ]
     return ModelResult(ids, years, h, weights, blocks)
@@ -186,7 +163,7 @@ def fit_wmfpca(bundle, kappa: float | None, rule: ComponentRule | None = None,
     curves, ids, years = _bundle_parts(bundle)
     weights = _year_weights(kappa, curves[0].shape[0])
     fit = fit_mfpca(curves, weights, rule, weight_power)
-    block = _mfpca_block("", list(range(len(ids))), fit, "nonstationary", h)
+    block = _block("", list(range(len(ids))), fit, "nonstationary", h)
     return ModelResult(ids, years, h, weights, [block])
 
 
@@ -204,11 +181,11 @@ def fit_coherent(bundle, kappa: float | None, rule: ComponentRule | None = None,
     everyone = list(range(len(ids)))
 
     common_fit = fit_ufpca(np.mean(curves, axis=0), weights, rule, weight_power)
-    trend = reconstruct_all(common_fit)
+    trend = common_fit.reconstruct()
     deviation_fit = fit_mfpca([c - trend for c in curves], weights, rule, weight_power)
     blocks = [
-        _fpca_block("common", everyone, common_fit, "nonstationary", h),
-        _mfpca_block("deviations", everyone, deviation_fit, "stationary", h),
+        _block("common", everyone, common_fit, "nonstationary", h),
+        _block("deviations", everyone, deviation_fit, "stationary", h),
     ]
     return ModelResult(ids, years, h, weights, blocks)
 
@@ -225,10 +202,10 @@ def fit_product_ratio(bundle, rule: ComponentRule | None = None, h: int = 20) ->
     curves, ids, years = _bundle_parts(bundle)
     weights = uniform_weights(curves[0].shape[0])
     average_curve = np.mean(curves, axis=0)
-    blocks = [_fpca_block("product", list(range(len(ids))),
-                          fit_ufpca(average_curve, weights, rule), "nonstationary", h)]
+    blocks = [_block("product", list(range(len(ids))),
+                     fit_ufpca(average_curve, weights, rule), "nonstationary", h)]
     blocks += [
-        _fpca_block(f"ratio_{pid}", [i], fit_ufpca(c - average_curve, weights, rule),
+        _block(f"ratio_{pid}", [i], fit_ufpca(c - average_curve, weights, rule),
                     "stationary", h)
         for i, (pid, c) in enumerate(zip(ids, curves))
     ]
@@ -323,7 +300,7 @@ def predict_interval(result: ModelResult, residuals=None, alpha: float = 0.05):
 def in_sample_reconstruction(result: ModelResult):
     """Training-period reconstructions per population (T x J matrices)."""
     return [
-        reduce(add, [mean + block.scores @ loadings
+        reduce(add, [mean + block.fit.scores @ loadings
                      for block, mean, loadings in _covering(result, i)])
         for i in range(len(result.population_ids))
     ]

@@ -12,6 +12,10 @@ The joint decomposition is assembled from per-population univariate fits:
    population-specific pieces psi_n^(i) of the multivariate eigenfunctions,
    and rotate the stacked scores into the shared scores rho.
 
+The result is an :class:`~mortfpca.ufpca.FpcaFit` with one slice per
+population: ``means[i]`` and ``loadings[i]`` (the psi_n^(i) as rows) for
+population i, and the rho as ``scores``.
+
 The multivariate eigenfunctions are orthonormal under the summed inner
 product over populations, and the shared scores reproduce each population's
 curves together with its mean when no truncation is applied.
@@ -19,45 +23,11 @@ curves together with its mean when no truncation is applied.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .components import ComponentRule, select_ncomp
-from .errors import EmptyBundle, IndexOutOfRange
-from .ufpca import EIGENVALUE_RTOL, FpcaFit, WeightScheme, _orient_rows, fit_ufpca
-
-
-@dataclass(eq=False)
-class MfpcaFit:
-    """Joint decomposition of p populations observed over common years.
-
-    ``block_eigenvectors`` holds the c_n as rows (M x sum N_i), partitioned
-    by ``block_slices`` into per-population segments.
-    ``multi_eigenfunctions[i]`` is the M x J matrix of psi_n^(i).
-    """
-
-    per_pop_fits: list
-    joint_eigenvalues: np.ndarray
-    block_eigenvectors: np.ndarray
-    block_slices: list
-    multi_eigenfunctions: list
-    shared_scores: np.ndarray
-    var_explained: np.ndarray
-    total_variance: float
-    weights: WeightScheme
-
-    @property
-    def n_populations(self) -> int:
-        return len(self.per_pop_fits)
-
-    @property
-    def n_components(self) -> int:
-        return self.joint_eigenvalues.size
-
-    @property
-    def n_years(self) -> int:
-        return self.shared_scores.shape[0]
+from .components import ComponentRule
+from .errors import EmptyBundle
+from .ufpca import FpcaFit, WeightScheme, _decompose, fit_ufpca
 
 
 def _extract_curves(bundle):
@@ -72,12 +42,14 @@ def fit_mfpca(
     weights: WeightScheme,
     rule: ComponentRule | None = None,
     weight_power: float = 1.0,
-) -> MfpcaFit:
+) -> FpcaFit:
     """Fit the joint decomposition of several populations.
 
     ``bundle`` may be a :class:`~mortfpca.hmd.SurfaceBundle` or any sequence
     of T x J arrays on a common grid.  The same weights, scaling power and
     truncation rule apply to the univariate fits and to the joint step.
+    The result has one slice per population, and its ``parts`` are the
+    univariate fits.
     """
     curves_list = _extract_curves(bundle)
     if len(curves_list) == 0:
@@ -88,73 +60,10 @@ def fit_mfpca(
     if rule is None:
         rule = ComponentRule()
 
-    fits = [fit_ufpca(c, weights, rule, weight_power) for c in curves_list]
-    n_years = curves_list[0].shape[0]
-
-    block_slices = []
-    start = 0
-    for f in fits:
-        block_slices.append(slice(start, start + f.n_components))
-        start += f.n_components
-    n_total = start
-
-    if n_total == 0:
-        return MfpcaFit(
-            per_pop_fits=fits,
-            joint_eigenvalues=np.empty(0),
-            block_eigenvectors=np.empty((0, 0)),
-            block_slices=block_slices,
-            multi_eigenfunctions=[np.empty((0, c.shape[1])) for c in curves_list],
-            shared_scores=np.empty((n_years, 0)),
-            var_explained=np.empty(0),
-            total_variance=0.0,
-            weights=weights,
-        )
-
-    stacked_scores = np.hstack([f.scores for f in fits])
+    parts = [fit_ufpca(c, weights, rule, weight_power) for c in curves_list]
     # same thin-factorization route as the univariate fit: singular values of
     # the stacked score matrix give the eigenvalues of Xi'Xi/(T-1) without
     # squaring their dynamic range
-    _, svals, vt = np.linalg.svd(stacked_scores, full_matrices=False)
-    evals = svals**2 / (n_years - 1)
-    total_variance = float(evals.sum())
-
-    n_keep = int(np.sum(svals > EIGENVALUE_RTOL * svals[0])) if svals.size and svals[0] > 0 else 0
-    n_comp = min(select_ncomp(evals[:n_keep], rule), n_keep)
-
-    block_vectors = np.ascontiguousarray(vt[:n_comp])
-    _orient_rows(block_vectors)
-    shared_scores = stacked_scores @ block_vectors.T
-    multi_eigenfunctions = [
-        block_vectors[:, block_slices[i]] @ fits[i].eigenfunctions
-        for i in range(len(fits))
-    ]
-    return MfpcaFit(
-        per_pop_fits=fits,
-        joint_eigenvalues=evals[:n_comp].copy(),
-        block_eigenvectors=block_vectors,
-        block_slices=block_slices,
-        multi_eigenfunctions=multi_eigenfunctions,
-        shared_scores=shared_scores,
-        var_explained=(evals[:n_comp] / total_variance if n_comp else np.empty(0)),
-        total_variance=total_variance,
-        weights=weights,
-    )
-
-
-def reconstruct_mfpca(fit: MfpcaFit, population: int, t: int) -> np.ndarray:
-    """In-sample reconstruction of one population's curve at year index ``t``."""
-    if not 0 <= population < fit.n_populations:
-        raise IndexOutOfRange(f"population {population} outside 0..{fit.n_populations - 1}")
-    if not 0 <= t < fit.n_years:
-        raise IndexOutOfRange(f"year index {t} outside 0..{fit.n_years - 1}")
-    mean_fn = fit.per_pop_fits[population].mean_fn
-    return mean_fn + fit.shared_scores[t] @ fit.multi_eigenfunctions[population]
-
-
-def reconstruct_all_mfpca(fit: MfpcaFit, population: int) -> np.ndarray:
-    """All in-sample reconstructions of one population as a T x J matrix."""
-    if not 0 <= population < fit.n_populations:
-        raise IndexOutOfRange(f"population {population} outside 0..{fit.n_populations - 1}")
-    mean_fn = fit.per_pop_fits[population].mean_fn
-    return mean_fn + fit.shared_scores @ fit.multi_eigenfunctions[population]
+    stacked_scores = np.hstack([f.scores for f in parts])
+    return _decompose(stacked_scores, stacked_scores, rule, [f.means[0] for f in parts],
+                      weights, weight_power, parts)

@@ -34,23 +34,25 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def _save_decomposition(outdir, years, ages, eigenvalues, var_explained, scores, pieces) -> None:
-    """Spectrum and scores, then one mean/eigenfunctions pair per (suffix, mean, loadings)."""
+def _save_fit(fit, years, ages, suffixes, outdir) -> None:
+    """Spectrum and scores, then a mean/eigenfunctions pair per slice named by its suffix."""
+    if len(suffixes) != len(fit.means):
+        raise ValueError(f"{len(suffixes)} file suffixes for a fit of {len(fit.means)} slices")
     os.makedirs(outdir, exist_ok=True)
-    n = eigenvalues.size
+    n = fit.n_components
     write_lines(
         os.path.join(outdir, "eigenvalues.csv"),
         ["component,eigenvalue,var_explained"]
-        + [f"{k + 1},{_fmt(eigenvalues[k])},{_fmt(var_explained[k])}" for k in range(n)],
+        + [f"{k + 1},{_fmt(fit.eigenvalues[k])},{_fmt(fit.var_explained[k])}" for k in range(n)],
     )
     header = "year," + ",".join(f"score_{k + 1}" for k in range(n))
     rows = [
-        f"{year}," + ",".join(_fmt(scores[t, k]) for k in range(n))
+        f"{year}," + ",".join(_fmt(fit.scores[t, k]) for k in range(n))
         for t, year in enumerate(years)
     ]
     write_lines(os.path.join(outdir, "scores.csv"), [header] + rows)
 
-    for suffix, mean, loadings in pieces:
+    for suffix, mean, loadings in zip(suffixes, fit.means, fit.loadings):
         write_lines(
             os.path.join(outdir, f"mean{suffix}.csv"),
             ["age,mean"] + [f"{a},{_fmt(v)}" for a, v in zip(ages, mean)],
@@ -64,19 +66,13 @@ def _save_decomposition(outdir, years, ages, eigenvalues, var_explained, scores,
 
 
 def save_fpca_fit(fit, years, ages, outdir) -> None:
-    """Persist one univariate fit as mean/eigenfunctions/eigenvalues/scores."""
-    _save_decomposition(outdir, years, ages, fit.eigenvalues, fit.var_explained, fit.scores,
-                        [("", fit.mean_fn, fit.eigenfunctions)])
+    """Persist a one-slice fit as mean/eigenfunctions/eigenvalues/scores."""
+    _save_fit(fit, years, ages, [""], outdir)
 
 
 def save_mfpca_fit(fit, years, ages, population_ids, outdir) -> None:
-    """Persist a joint fit: shared scores plus per-population pieces."""
-    pieces = [
-        (f"_{pid}", f.mean_fn, ef)
-        for pid, f, ef in zip(population_ids, fit.per_pop_fits, fit.multi_eigenfunctions)
-    ]
-    _save_decomposition(outdir, years, ages, fit.joint_eigenvalues, fit.var_explained,
-                        fit.shared_scores, pieces)
+    """Persist a joint fit: shared scores plus one mean/eigenfunctions pair per population."""
+    _save_fit(fit, years, ages, [f"_{pid}" for pid in population_ids], outdir)
 
 
 def save_forecast_surface(surface, ages, path) -> None:

@@ -1,4 +1,4 @@
-"""Weighted functional principal component analysis of one population.
+"""Weighted functional PCA of one population, and the fit type of every decomposition.
 
 Curves live on a unit-spaced age grid, so every L2 inner product reduces to
 a plain dot product.  The decomposition follows the weighted formulation:
@@ -12,17 +12,12 @@ time-series modelling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .components import ComponentRule, select_ncomp
-from .errors import (
-    IndexOutOfRange,
-    InsufficientYears,
-    KappaOutOfRange,
-    NonFiniteInput,
-)
+from .errors import InsufficientYears, KappaOutOfRange, NonFiniteInput
 
 #: relative singular-value cutoff below which a component counts as numerically zero
 EIGENVALUE_RTOL = 1e-12
@@ -73,30 +68,35 @@ def uniform_weights(n_years: int) -> WeightScheme:
 
 @dataclass(eq=False)
 class FpcaFit:
-    """Truncated eigen decomposition of one population's curves.
+    """Truncated eigendecomposition of one or more populations' curves.
 
-    ``eigenfunctions`` has shape (N, J) with orthonormal rows;
-    ``scores`` has shape (T, N).  ``var_explained`` is each retained
-    eigenvalue's share of ``total_variance`` (the trace of the weighted
-    covariance), so entries need not sum to one after truncation.
+    Slice i holds one population: ``means[i]`` is its mean curve and
+    ``loadings[i]`` (N x J) its piece of the N eigenfunctions; all slices
+    share ``scores`` (T x N) and the spectrum.  ``var_explained`` is each
+    eigenvalue's share of ``total_variance``, so after truncation it need
+    not sum to one.  :func:`fit_ufpca` returns one slice with orthonormal
+    loadings; :func:`~mortfpca.mfpca.fit_mfpca` one slice per population,
+    orthonormal under the inner product summed over slices, with the
+    univariate fits it rotates in ``parts``.
     """
 
-    mean_fn: np.ndarray
-    eigenvalues: np.ndarray
-    eigenfunctions: np.ndarray
+    means: list
+    loadings: list
     scores: np.ndarray
+    eigenvalues: np.ndarray
     var_explained: np.ndarray
     total_variance: float
     weights: WeightScheme
     weight_power: float = 1.0
+    parts: list = field(default_factory=list)
 
     @property
     def n_components(self) -> int:
         return self.eigenvalues.size
 
-    @property
-    def n_years(self) -> int:
-        return self.scores.shape[0]
+    def reconstruct(self, i: int = 0) -> np.ndarray:
+        """In-sample reconstructions of slice ``i`` as a T x J matrix."""
+        return self.means[i] + self.scores @ self.loadings[i]
 
 
 def _orient_rows(vectors: np.ndarray):
@@ -111,6 +111,45 @@ def _orient_rows(vectors: np.ndarray):
     signs = np.where(vectors[np.arange(vectors.shape[0]), idx] < 0, -1.0, 1.0)
     vectors *= signs[:, None]
     return signs
+
+
+def _decompose(scaled, centered, rule: ComponentRule, means: list, weights: WeightScheme,
+               weight_power: float, parts=()) -> FpcaFit:
+    """Fit of the leading eigenvectors of scaled'scaled/(T-1), scoring ``centered``.
+
+    With ``parts``, the columns are the parts' stacked scores, and each
+    part's segment of an eigenvector maps through its loadings to its ages.
+    """
+    # thin SVD of the scaled data rather than eigh of its covariance: the
+    # singular values span the weights' dynamic range unsquared, so low-weight
+    # years keep their directions instead of collapsing into rounding noise
+    _, svals, vt = np.linalg.svd(scaled, full_matrices=False)
+    evals = svals**2 / (scaled.shape[0] - 1)
+    total_variance = float(evals.sum())
+
+    if svals.size == 0 or svals[0] <= 0.0:
+        n_keep = 0
+    else:
+        n_keep = int(np.sum(svals > EIGENVALUE_RTOL * svals[0]))
+    n_comp = min(select_ncomp(evals[:n_keep], rule), n_keep)
+
+    vectors = np.ascontiguousarray(vt[:n_comp])
+    _orient_rows(vectors)
+    loadings = [vectors]
+    if parts:
+        edges = np.cumsum([0] + [p.n_components for p in parts])
+        loadings = [vectors[:, a:b] @ p.loadings[0] for a, b, p in zip(edges, edges[1:], parts)]
+    return FpcaFit(
+        means=means,
+        loadings=loadings,
+        scores=centered @ vectors.T,
+        eigenvalues=evals[:n_comp].copy(),
+        var_explained=(evals[:n_comp] / total_variance if n_comp else np.empty(0)),
+        total_variance=total_variance,
+        weights=weights,
+        weight_power=weight_power,
+        parts=list(parts),
+    )
 
 
 def fit_ufpca(
@@ -157,41 +196,4 @@ def fit_ufpca(
     mean_fn = w @ curves
     centered = curves - mean_fn
     scaled = (w**weight_power)[:, None] * centered
-    # thin SVD of the scaled data rather than eigh of its covariance: the
-    # singular values span the weights' dynamic range unsquared, so low-weight
-    # years keep their directions instead of collapsing into rounding noise
-    _, svals, vt = np.linalg.svd(scaled, full_matrices=False)
-    evals = svals**2 / (n_years - 1)
-    total_variance = float(evals.sum())
-
-    if svals.size == 0 or svals[0] <= 0.0:
-        n_keep = 0
-    else:
-        n_keep = int(np.sum(svals > EIGENVALUE_RTOL * svals[0]))
-    n_comp = min(select_ncomp(evals[:n_keep], rule), n_keep)
-
-    eigenfunctions = np.ascontiguousarray(vt[:n_comp])
-    _orient_rows(eigenfunctions)
-    scores = centered @ eigenfunctions.T
-    return FpcaFit(
-        mean_fn=mean_fn,
-        eigenvalues=evals[:n_comp].copy(),
-        eigenfunctions=eigenfunctions,
-        scores=scores,
-        var_explained=(evals[:n_comp] / total_variance if n_comp else np.empty(0)),
-        total_variance=total_variance,
-        weights=weights,
-        weight_power=weight_power,
-    )
-
-
-def reconstruct(fit: FpcaFit, t: int) -> np.ndarray:
-    """In-sample reconstruction of year index ``t``: mean plus scored components."""
-    if not 0 <= t < fit.n_years:
-        raise IndexOutOfRange(f"year index {t} outside 0..{fit.n_years - 1}")
-    return fit.mean_fn + fit.scores[t] @ fit.eigenfunctions
-
-
-def reconstruct_all(fit: FpcaFit) -> np.ndarray:
-    """All in-sample reconstructions as a T x J matrix."""
-    return fit.mean_fn + fit.scores @ fit.eigenfunctions
+    return _decompose(scaled, centered, rule, [mean_fn], weights, weight_power)

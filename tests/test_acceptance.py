@@ -23,7 +23,7 @@ from mortfpca.forecasters import (
     predict_interval,
 )
 from mortfpca.hmd import SurfaceBundle, impute_missing, parse_hmd_rates
-from mortfpca.mfpca import MfpcaFit, fit_mfpca, reconstruct_all_mfpca
+from mortfpca.mfpca import fit_mfpca
 from mortfpca.smoothing import ResidualField, smooth_surface
 from mortfpca.synthetic import hmd_text_from_bundle, synthetic_bundle
 from mortfpca.tsmodels import fit_auto, fit_spec, forecast, unconditional_mean
@@ -49,22 +49,22 @@ def test_criterion_1_joint_decomposition_matches_bruteforce_oracle(acceptance_re
 
         n = fit.n_components
         assert n == min(t - 1, 2 * j)
-        worst = max(worst, float(np.max(np.abs(fit.joint_eigenvalues - evals[:n]))))
+        worst = max(worst, float(np.max(np.abs(fit.eigenvalues - evals[:n]))))
         for k in range(n):
-            pkg = np.concatenate([b[k] for b in fit.multi_eigenfunctions])
+            pkg = np.concatenate([b[k] for b in fit.loadings])
             ref = evecs[:, k]
             pivot = int(np.argmax(np.abs(pkg)))
             if pkg[pivot] * ref[pivot] < 0:
                 ref = -ref
             worst = max(worst, float(np.max(np.abs(pkg - ref))))
-            worst = max(worst, float(np.max(np.abs(fit.shared_scores[:, k] - stacked @ ref))))
+            worst = max(worst, float(np.max(np.abs(fit.scores[:, k] - stacked @ ref))))
 
         oracle_scores = stacked @ evecs[:, :n]
         rebuilt = oracle_scores @ evecs[:, :n].T
         offset = 0
         for p, c in enumerate(curves):
             oracle_recon = c.mean(axis=0) + rebuilt[:, offset:offset + j]
-            worst = max(worst, float(np.max(np.abs(reconstruct_all_mfpca(fit, p) - oracle_recon))))
+            worst = max(worst, float(np.max(np.abs(fit.reconstruct(p) - oracle_recon))))
             offset += j
 
     elapsed = time.perf_counter() - t0
@@ -107,12 +107,12 @@ def test_criterion_2_orthonormality_and_uncorrelated_scores(acceptance_report):
     worst_cross = 0.0  # off-diagonal score covariance relative to max variance
     fits = _corpus_fits()
     for fit in fits:
-        if isinstance(fit, MfpcaFit):
-            basis = np.hstack(fit.multi_eigenfunctions)
-            scores = fit.shared_scores
+        if fit.parts:
+            basis = np.hstack(fit.loadings)
+            scores = fit.scores
             weighted = scores
         else:
-            basis = fit.eigenfunctions
+            basis = fit.loadings[0]
             scores = fit.scores
             weighted = (fit.weights.weights ** (2.0 * fit.weight_power))[:, None] * scores
         n = basis.shape[0]
@@ -162,17 +162,17 @@ def _limit_gap(result, model):
     if model == "coherent":
         deviations = result.blocks[1]
         fit = deviations.fit
-        gap = fit.per_pop_fits[0].mean_fn - fit.per_pop_fits[1].mean_fn
+        gap = fit.means[0] - fit.means[1]
         for l, sf in enumerate(deviations.forecasts):
             m = unconditional_mean(sf.spec)
-            gap = gap + m * (fit.multi_eigenfunctions[0][l]
-                             - fit.multi_eigenfunctions[1][l])
+            gap = gap + m * (fit.loadings[0][l]
+                             - fit.loadings[1][l])
         return gap
     ratios = result.blocks[1:]
-    gap = ratios[0].fit.mean_fn - ratios[1].fit.mean_fn
+    gap = ratios[0].fit.means[0] - ratios[1].fit.means[0]
     for i, sign in ((0, 1.0), (1, -1.0)):
         for l, sf in enumerate(ratios[i].forecasts):
-            gap = gap + sign * unconditional_mean(sf.spec) * ratios[i].fit.eigenfunctions[l]
+            gap = gap + sign * unconditional_mean(sf.spec) * ratios[i].fit.loadings[0][l]
     return gap
 
 
@@ -290,8 +290,7 @@ def test_criterion_6_interval_coverage_model_true(acceptance_report):
         spec = fit_spec(fit.scores[:, 0], (0, 1, 0), include_drift=True)
         result = ModelResult(
             ["pop"], np.arange(2000, 2000 + t_len), h, weights,
-            [Block("pop", [0], fit, [fit.mean_fn], [fit.eigenfunctions], fit.scores,
-                   "nonstationary", [forecast(spec, fit.scores[:, 0], h)])],
+            [Block("pop", [0], fit, "nonstationary", [forecast(spec, fit.scores[:, 0], h)])],
         )
         surface = predict_interval(result, [field], alpha=0.05)[0]
         hit = (surface.lower[h - 1] <= y_future) & (y_future <= surface.upper[h - 1])
@@ -386,9 +385,9 @@ def test_criterion_8_determinism(acceptance_report, tmp_path):
     first = fit_model(bundle, "wmfpca", h=3, kappa=0.5)
     second = fit_model(bundle, "wmfpca", h=3, kappa=0.5)
     arrays_equal = (
-        np.array_equal(first.blocks[0].fit.joint_eigenvalues,
-                       second.blocks[0].fit.joint_eigenvalues)
-        and np.array_equal(first.blocks[0].fit.shared_scores, second.blocks[0].fit.shared_scores)
+        np.array_equal(first.blocks[0].fit.eigenvalues,
+                       second.blocks[0].fit.eigenvalues)
+        and np.array_equal(first.blocks[0].fit.scores, second.blocks[0].fit.scores)
         and all(
             np.array_equal(a.mean, b.mean) and np.array_equal(a.variance, b.variance)
             for a, b in zip(predict_interval(first, None), predict_interval(second, None))

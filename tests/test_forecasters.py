@@ -78,36 +78,36 @@ def test_interval_variance_assembly(results, model, small_truth):
     # residuals=None leaves exactly the score-forecast variance terms
     blocks = {b.name: b for b in result.blocks}
     if model == "independent":
-        terms = [[(blocks[pid].forecasts, blocks[pid].fit.eigenfunctions)]
+        terms = [[(blocks[pid].forecasts, blocks[pid].fit.loadings[0])]
                  for pid in ("female", "male")]
-        bases = [blocks[pid].fit.mean_fn for pid in ("female", "male")]
+        bases = [blocks[pid].fit.means[0] for pid in ("female", "male")]
     elif model == "wmfpca":
         fit = blocks[""].fit
-        terms = [[(blocks[""].forecasts, fit.multi_eigenfunctions[i])]
+        terms = [[(blocks[""].forecasts, fit.loadings[i])]
                  for i in range(2)]
-        bases = [fit.per_pop_fits[i].mean_fn for i in range(2)]
+        bases = [fit.means[i] for i in range(2)]
     elif model == "coherent":
         common, deviations = blocks["common"], blocks["deviations"]
         terms = [
             [
-                (common.forecasts, common.fit.eigenfunctions),
-                (deviations.forecasts, deviations.fit.multi_eigenfunctions[i]),
+                (common.forecasts, common.fit.loadings[0]),
+                (deviations.forecasts, deviations.fit.loadings[i]),
             ]
             for i in range(2)
         ]
-        bases = [common.fit.mean_fn + deviations.fit.per_pop_fits[i].mean_fn
+        bases = [common.fit.means[0] + deviations.fit.means[i]
                  for i in range(2)]
     else:
         product = blocks["product"]
         ratios = [blocks["ratio_female"], blocks["ratio_male"]]
         terms = [
             [
-                (product.forecasts, product.fit.eigenfunctions),
-                (ratios[i].forecasts, ratios[i].fit.eigenfunctions),
+                (product.forecasts, product.fit.loadings[0]),
+                (ratios[i].forecasts, ratios[i].fit.loadings[0]),
             ]
             for i in range(2)
         ]
-        bases = [product.fit.mean_fn + ratios[i].fit.mean_fn
+        bases = [product.fit.means[0] + ratios[i].fit.means[0]
                  for i in range(2)]
 
     for i, surface in enumerate(surfaces):
@@ -175,7 +175,7 @@ def test_coherent_identical_populations_forecast_no_gap(small_truth):
     surfaces = predict_interval(result)
     gap = surfaces[0].mean - surfaces[1].mean
     assert np.max(np.abs(gap)) < 1e-6
-    deviation_means = result.blocks[1].means
+    deviation_means = result.blocks[1].fit.means
     for mean in deviation_means:
         pass  # identical populations share one deviation mean
     np.testing.assert_allclose(
@@ -187,7 +187,7 @@ def test_product_ratio_ratios_cancel_across_populations(small_truth):
     result = fit_product_ratio(small_truth, rule=FULL_RANK, h=1)
     ratio_fits = [block.fit for block in result.blocks[1:]]
     np.testing.assert_allclose(
-        ratio_fits[0].mean_fn + ratio_fits[1].mean_fn, 0.0, atol=1e-12
+        ratio_fits[0].means[0] + ratio_fits[1].means[0], 0.0, atol=1e-12
     )
 
 

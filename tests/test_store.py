@@ -37,7 +37,7 @@ def test_fpca_fit_files_and_schemas(tmp_path, ufpca_fit):
     assert mean[0] == "age,mean"
     assert len(mean) == 6
     value = float(mean[1].split(",")[1])
-    assert value == ufpca_fit.mean_fn[0]  # repr round-trips exactly
+    assert value == ufpca_fit.means[0][0]  # repr round-trips exactly
 
     ef = (tmp_path / "eigenfunctions.csv").read_text().splitlines()
     assert ef[0] == "age," + ",".join(f"ef_{k+1}" for k in range(n))
@@ -71,6 +71,25 @@ def test_mfpca_fit_files(tmp_path):
     }
     ef = (tmp_path / "eigenfunctions_f.csv").read_text().splitlines()
     assert len(ef) == 5  # header plus one row per age
+
+
+def joint_fit():
+    rng = np.random.default_rng(1)
+    curves = [rng.normal(-4, 1, (7, 4)) for _ in range(2)]
+    return fit_mfpca(curves, uniform_weights(7), ComponentRule(threshold=0.9))
+
+
+@pytest.mark.parametrize("ids", [["f"], ["f", "m", "x"]])
+def test_mfpca_fit_needs_one_id_per_population(tmp_path, ids):
+    with pytest.raises(ValueError):
+        save_mfpca_fit(joint_fit(), np.arange(1990, 1997), np.arange(4), ids, tmp_path)
+    assert not any(tmp_path.iterdir())
+
+
+def test_fpca_fit_writer_rejects_a_joint_fit(tmp_path):
+    with pytest.raises(ValueError):
+        save_fpca_fit(joint_fit(), np.arange(1990, 1997), np.arange(4), tmp_path)
+    assert not any(tmp_path.iterdir())
 
 
 def test_forecast_surface_file(tmp_path):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from mortfpca.components import FULL_RANK, ComponentRule
 from mortfpca.errors import (
-    IndexOutOfRange,
     InsufficientYears,
     KappaOutOfRange,
     NonFiniteInput,
@@ -16,8 +15,6 @@ from mortfpca.ufpca import (
     WeightScheme,
     fit_ufpca,
     geometric_weights,
-    reconstruct,
-    reconstruct_all,
     uniform_weights,
 )
 
@@ -97,10 +94,10 @@ def test_unweighted_fit_matches_covariance_eigendecomposition():
     np.testing.assert_allclose(fit.eigenvalues * t**2, evals, rtol=1e-10)
     for k in range(fit.n_components):
         oracle_ef = evecs[:, k]
-        sign = np.sign(oracle_ef @ fit.eigenfunctions[k])
-        np.testing.assert_allclose(fit.eigenfunctions[k], sign * oracle_ef, atol=1e-10)
+        sign = np.sign(oracle_ef @ fit.loadings[0][k])
+        np.testing.assert_allclose(fit.loadings[0][k], sign * oracle_ef, atol=1e-10)
         np.testing.assert_allclose(fit.scores[:, k], sign * centered @ oracle_ef, atol=1e-10)
-    np.testing.assert_allclose(fit.mean_fn, curves.mean(axis=0), atol=1e-12)
+    np.testing.assert_allclose(fit.means[0], curves.mean(axis=0), atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -116,18 +113,18 @@ def test_weighted_fit_first_order_identities(power):
     centered = curves - w @ curves
     scaled = (w**power)[:, None] * centered
 
-    np.testing.assert_allclose(fit.mean_fn, w @ curves, atol=1e-12)
+    np.testing.assert_allclose(fit.means[0], w @ curves, atol=1e-12)
     # eigen-equation of the scaled-data covariance
     gram = scaled.T @ scaled
     for k in range(fit.n_components):
-        v = fit.eigenfunctions[k]
+        v = fit.loadings[0][k]
         np.testing.assert_allclose(gram @ v, 11 * fit.eigenvalues[k] * v, atol=1e-9)
     # total variance is the scaled sum of squares
     np.testing.assert_allclose(
         fit.total_variance, np.sum(scaled**2) / 11, rtol=1e-12
     )
     # scores are plain projections of the unscaled centered curves
-    np.testing.assert_allclose(fit.scores, centered @ fit.eigenfunctions.T, atol=1e-12)
+    np.testing.assert_allclose(fit.scores, centered @ fit.loadings[0].T, atol=1e-12)
     # weighted score cross products are diagonal with (T-1) * eigenvalue
     gram_scores = (w ** (2 * power) * fit.scores.T) @ fit.scores
     np.testing.assert_allclose(gram_scores, np.diag(11 * fit.eigenvalues), atol=1e-10)
@@ -137,9 +134,9 @@ def test_eigenfunctions_are_orthonormal_and_oriented():
     fit = fit_ufpca(random_curves(2), geometric_weights(0.4, 9), FULL_RANK)
     n = fit.n_components
     np.testing.assert_allclose(
-        fit.eigenfunctions @ fit.eigenfunctions.T, np.eye(n), atol=1e-10
+        fit.loadings[0] @ fit.loadings[0].T, np.eye(n), atol=1e-10
     )
-    for row in fit.eigenfunctions:
+    for row in fit.loadings[0]:
         assert row[np.argmax(np.abs(row))] > 0
 
 
@@ -159,8 +156,8 @@ def test_eigenvalues_nonincreasing_and_shares_consistent():
 def test_full_rank_reconstruction_is_exact():
     curves = random_curves(4, t=8, j=5)
     fit = fit_ufpca(curves, geometric_weights(0.2, 8), FULL_RANK)
-    np.testing.assert_allclose(reconstruct_all(fit), curves, atol=1e-9)
-    np.testing.assert_allclose(reconstruct(fit, 3), curves[3], atol=1e-9)
+    np.testing.assert_allclose(fit.reconstruct(), curves, atol=1e-9)
+    np.testing.assert_allclose(fit.reconstruct()[3], curves[3], atol=1e-9)
 
 
 def test_truncated_reconstruction_error_matches_dropped_variance():
@@ -169,7 +166,7 @@ def test_truncated_reconstruction_error_matches_dropped_variance():
     w = weights.weights
     fit = fit_ufpca(curves, weights, ComponentRule(override=2))
     assert fit.n_components == 2
-    resid = curves - reconstruct_all(fit)
+    resid = curves - fit.reconstruct()
     weighted_sse = float(np.sum(w[:, None] ** 2 * resid**2))
     full = fit_ufpca(curves, weights, FULL_RANK)
     dropped = full.total_variance - fit.eigenvalues.sum()
@@ -183,7 +180,7 @@ def test_constant_curves_collapse_to_mean():
     fit = fit_ufpca(curves, uniform_weights(4), FULL_RANK)
     assert fit.n_components == 0
     assert fit.total_variance == 0.0
-    np.testing.assert_allclose(reconstruct_all(fit), curves, atol=1e-12)
+    np.testing.assert_allclose(fit.reconstruct(), curves, atol=1e-12)
 
 
 def test_nearly_constant_curves_reconstruct_to_rounding_noise():
@@ -192,15 +189,8 @@ def test_nearly_constant_curves_reconstruct_to_rounding_noise():
     curves = np.tile(np.linspace(-5, -1, 6), (7, 1))
     fit = fit_ufpca(curves, uniform_weights(7), FULL_RANK)
     assert fit.total_variance < 1e-28
-    np.testing.assert_allclose(reconstruct_all(fit), curves, atol=1e-12)
+    np.testing.assert_allclose(fit.reconstruct(), curves, atol=1e-12)
 
-
-def test_reconstruct_index_validation():
-    fit = fit_ufpca(random_curves(6), uniform_weights(9), FULL_RANK)
-    with pytest.raises(IndexOutOfRange):
-        reconstruct(fit, 9)
-    with pytest.raises(IndexOutOfRange):
-        reconstruct(fit, -1)
 
 
 # ---------------------------------------------------------------------------
