@@ -36,7 +36,7 @@ from functools import reduce
 from operator import add
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from .components import ComponentRule
 from .errors import AlphaOutOfRange, EmptyBundle
@@ -266,7 +266,7 @@ def predict_interval(result: ModelResult, residuals=None, alpha: float = 0.05):
     if not 0.0 < alpha < 1.0:
         raise AlphaOutOfRange(f"alpha must lie in (0, 1), got {alpha}")
     h = result.horizon
-    z = norm.ppf(1.0 - alpha / 2.0)
+    z = ndtri(1.0 - alpha / 2.0)
     horizon_years = result.train_years[-1] + 1 + np.arange(h)
 
     surfaces = []

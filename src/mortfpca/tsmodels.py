@@ -4,17 +4,26 @@ Small, fully deterministic grid search: orders p, q in {0, 1, 2} and, in
 nonstationary mode, d in {0, 1, 2}.  Parameters minimize the conditional
 sum of squares (CSS), which maximizes the Gaussian conditional likelihood.
 A pure AR cell is linear in (phi, c (1 - sum phi)) and is solved exactly by
-ordinary least squares; a cell with an MA part is solved by
-Levenberg-Marquardt on its residual vector with an analytic Jacobian
-(Box & Jenkins, CSS estimation).  Every cell conditions on the first
-``N_COND`` values of its differenced series and additionally burns 2 - d
-leading residuals, so the likelihood sample size is identical across the
-whole grid and information criteria are comparable.  Model choice is by
-BIC, k log(n_eff) - 2 loglik, with k = p + q + 1 plus one for a drift term;
-AIC is recorded next to it.  BIC's penalty grows with the sample, so it
+ordinary least squares.  The cells with an MA part are fitted together:
+one Levenberg-Marquardt loop runs over all of them at once, with an
+analytic Jacobian (Box & Jenkins, CSS estimation), and each cell keeps its
+own damping and leaves the batch when it converges or fails.  Every cell
+conditions on the first ``N_COND`` values of its differenced series and
+additionally burns 2 - d leading residuals, so the likelihood sample size
+is identical across the whole grid and information criteria are
+comparable.  In the batch each d-differenced series is front-padded with d
+zeros, so every cell has the same residual rows and leaves the same
+``MAX_D`` leading ones out of its likelihood.  Model choice is by BIC,
+k log(n_eff) - 2 loglik, with k = p + q + 1 plus one for a drift term; AIC
+is recorded next to it.  BIC's penalty grows with the sample, so it
 identifies the true order consistently (Hannan 1980), whereas AIC's fixed
 penalty of 2 per parameter keeps a constant chance of choosing an overfit
 cell (Shibata 1976).
+
+The MA filter 1 / theta(B) of a batch is one unit lower-triangular band
+matrix of bandwidth ``MAX_ORDER``, block-diagonal over the cells, so the
+residuals and the Jacobian columns of every cell are filtered by one LAPACK
+``dtbtrs`` solve each.
 
 ``drift`` is the constant of the d-times differenced model: the process
 mean when d = 0 and the linear trend slope when d = 1.  Drift is never
@@ -26,8 +35,9 @@ conditional likelihood degenerates) of modulus > 1.001; violating cells
 are rejected, which in particular stops an over-differenced model from
 undoing its differencing with a unit MA root.  A cell whose
 Levenberg-Marquardt fit has not converged after ``MAX_ITER`` iterations is
-rejected too.  Stationary mode further restricts the grid to d = 0 so
-forecasts stay mean-reverting.
+rejected too, as is one whose damped normal equations are singular.
+Stationary mode further restricts the grid to d = 0 so forecasts stay
+mean-reverting.
 """
 
 from __future__ import annotations
@@ -36,8 +46,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dposv
-from scipy.signal import lfilter
+from scipy.linalg.lapack import dpotrf, dtbtrs
 
 from .errors import NonFiniteInput, OptimFailed, SeriesTooShort
 
@@ -57,6 +66,14 @@ MAX_ITER = 100
 SSE_RTOL = 1e-12
 
 MODES = ("nonstationary", "stationary")
+
+#: parameter slots of a padded cell: phi_1, phi_2, theta_1, theta_2, drift
+N_SLOTS = 2 * MAX_ORDER + 1
+_MA = slice(MAX_ORDER, 2 * MAX_ORDER)
+_DRIFT = 2 * MAX_ORDER
+_SLOTS = np.arange(N_SLOTS)
+#: Levenberg-Marquardt state of a cell; one still running after MAX_ITER has not converged
+_RUNNING, _CONVERGED, _SINGULAR = 0, 1, 2
 
 
 @dataclass(eq=False)
@@ -99,153 +116,299 @@ class ScoreForecast:
         return self.mean.size
 
 
+def _band_solve(theta: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve theta(B) y = rhs along the last axis of ``rhs`` (k, cells, m), one theta row per cell."""
+    k, cells, m = rhs.shape
+    # LAPACK lower band storage, built transposed so that it is Fortran-ordered;
+    # column 0, the unit diagonal, is not read
+    band = np.zeros((cells, m, MAX_ORDER + 1))
+    for j in range(1, MAX_ORDER + 1):
+        # the last j rows of a cell stay zero, so no cell reaches into the next
+        band[:, : m - j, j] = theta[:, j - 1, None]
+    y, _ = dtbtrs(band.reshape(-1, MAX_ORDER + 1).T, rhs.reshape(k, -1).T, uplo="L", diag="U")
+    return y.T.reshape(k, cells, m)
+
+
+def _ma_filter(theta: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Apply 1 / theta(B) to every cell's rows of ``rhs`` (k, cells, m) in one banded solve.
+
+    Forward substitution carries a non-finite value on as 0 * inf = nan
+    across the zero coupling between cells, so the cells after the first
+    one with a non-finite result are solved again one at a time.
+    """
+    y = _band_solve(theta, rhs)
+    if not np.isfinite(y).all():
+        finite = np.isfinite(y).all(axis=(0, 2))
+        for i in range(int(np.argmin(finite)) + 1, finite.size):
+            y[:, i] = _band_solve(theta[i : i + 1], rhs[:, i : i + 1])[:, 0]
+    return y
+
+
+def _css_batch(w: np.ndarray, x: np.ndarray, real: np.ndarray):
+    """Conditional residuals e_t, t >= N_COND, of every cell, and z = w - drift.
+
+    ``w`` holds one front-padded differenced series per row, ``x`` the
+    padded parameters of each cell and ``real`` its residual rows that are
+    not padding.  Padding rows get zero residuals, and zeros are assumed
+    before the first row.
+    """
+    z = w - x[:, _DRIFT, None]
+    n = w.shape[1]
+    rhs = z[:, N_COND:].copy()
+    for i in range(1, MAX_ORDER + 1):
+        rhs -= x[:, i - 1, None] * z[:, N_COND - i : n - i]
+    return _ma_filter(x[:, _MA], np.where(real, rhs, 0.0)[None])[0], z
+
+
 def _css_residuals(w: np.ndarray, ar, ma, c: float) -> np.ndarray:
-    """Conditional residuals e_t for t >= N_COND, zeros assumed before that."""
-    z = w - c
-    n = z.size
-    rhs = z[N_COND:].copy()
-    for i, phi in enumerate(ar, start=1):
-        rhs -= phi * z[N_COND - i : n - i]
-    if len(ma):
-        rhs = lfilter([1.0], np.concatenate(([1.0], np.asarray(ma, float))), rhs)
-    return rhs
+    """Conditional residuals e_t for t >= N_COND of one series, zeros assumed before that."""
+    x = np.zeros((1, N_SLOTS))
+    x[0, : len(ar)] = ar
+    x[0, MAX_ORDER : MAX_ORDER + len(ma)] = ma
+    x[0, _DRIFT] = c
+    return _css_batch(w[None], x, np.ones((1, w.size - N_COND), bool))[0][0]
 
 
-def _roots_ok(tail) -> bool:
-    """True when every root of 1 + t_1 z + ... + t_k z^k has modulus > ROOT_MARGIN."""
-    tail = np.trim_zeros(np.asarray(tail, float), "b")
-    if tail.size == 0:
-        return True
-    poly = np.concatenate(([1.0], tail))[::-1]
-    return bool(np.all(np.abs(np.roots(poly)) > ROOT_MARGIN))
-
-
-def _css_jacobian(w: np.ndarray, ar, ma, c: float, e: np.ndarray, include_drift: bool) -> np.ndarray:
-    """Derivatives of ``_css_residuals`` with respect to (ar, ma, drift).
+def _css_jacobian(z: np.ndarray, x: np.ndarray, e: np.ndarray, free: np.ndarray,
+                  real: np.ndarray) -> np.ndarray:
+    """Derivatives of ``_css_batch``'s residuals by each parameter slot: (N_SLOTS, cells, m).
 
     e_t = theta(B)^-1 phi(B) (w_t - c), so each column is a plain derivative
     of phi(B) (w_t - c) or of the MA recursion, filtered once by
     1 / theta(B): -z_{t-i} for phi_i, -e_{t-j} for theta_j (zero before the
-    first residual) and -(1 - sum phi) for the drift.
+    first residual) and -(1 - sum phi) for the drift.  The slots a cell does
+    not estimate (``free`` false) and its padding rows get zeros.
     """
-    z = w - c
-    n = z.size
-    m = n - N_COND
-    cols = [-z[N_COND - i : n - i] for i in range(1, len(ar) + 1)]
-    for j in range(1, len(ma) + 1):
-        cols.append(np.concatenate((np.zeros(j), -e[: m - j])))
-    if include_drift:
-        cols.append(np.full(m, np.sum(ar) - 1.0))
-    theta = np.concatenate(([1.0], np.asarray(ma, float)))
-    return lfilter([1.0], theta, np.array(cols), axis=-1).T
+    m = e.shape[1]
+    n = z.shape[1]
+    cols = np.zeros((N_SLOTS, *e.shape))
+    for i in range(1, MAX_ORDER + 1):
+        cols[i - 1] = -z[:, N_COND - i : n - i]
+        cols[MAX_ORDER + i - 1, :, i:] = -e[:, : m - i]
+    cols[_DRIFT] = x[:, :MAX_ORDER].sum(axis=1)[:, None] - 1.0
+    return _ma_filter(x[:, _MA], np.where(free.T[:, :, None] & real, cols, 0.0))
 
 
-def _levenberg_marquardt(w: np.ndarray, x: np.ndarray, p: int, q: int, include_drift: bool,
-                         burn: int, cell: str) -> np.ndarray:
-    """Minimize the CSS of one cell from (ar, ma[, drift]) = ``x``; raises OptimFailed.
+def _sum_squares(e: np.ndarray) -> np.ndarray:
+    """SSE of every cell over its likelihood rows, all but the first MAX_D."""
+    return np.einsum("ij,ij->i", e[:, MAX_D:], e[:, MAX_D:])
 
-    Damping is Marquardt-scaled, mu * diag(J'J), and mu follows Nielsen's
-    gain-ratio rule (Madsen, Nielsen & Tingleff 2004, sec. 3.2).  The fit
-    has converged once a step changes the SSE by at most ``SSE_RTOL`` of
-    itself; a step that raises the SSE is never taken.
+
+def _normal_equations(z, x, e, free, real):
+    """J'J and J'e of every cell over its likelihood rows."""
+    jac = _css_jacobian(z, x, e, free, real)[:, :, MAX_D:]
+    return np.einsum("aim,bim->iab", jac, jac), np.einsum("aim,im->ia", jac, e[:, MAX_D:])
+
+
+def _damped_steps(jtj: np.ndarray, grad: np.ndarray, mu: np.ndarray, free: np.ndarray):
+    """Solve (J'J + mu diag(J'J)) s = -J'e of every cell; returns s and where the system is definite.
+
+    A system is singular where its Cholesky factorization (LAPACK
+    ``dpotrf``) fails; its step is zero.  Slots a cell does not estimate get
+    a unit diagonal and a zero step.
     """
+    scale = jtj[:, _SLOTS, _SLOTS]
+    damped = jtj.copy()
+    damped[:, _SLOTS, _SLOTS] = np.where(free, scale + mu[:, None] * scale, 1.0)
+    try:
+        np.linalg.cholesky(damped)
+        ok = np.ones(mu.size, bool)
+    except np.linalg.LinAlgError:
+        ok = np.array([dpotrf(a)[1] == 0 for a in damped])
+        # a singular system becomes I s = 0
+        damped[~ok] = np.eye(N_SLOTS)
+        grad = np.where(ok[:, None], grad, 0.0)
+    return np.linalg.solve(damped, -grad[:, :, None])[:, :, 0], ok
 
-    def residuals(x):
-        c = x[p + q] if include_drift else 0.0
-        e = _css_residuals(w, x[:p], x[p : p + q], c)
-        r = e[burn:]
-        return e, r, float(r @ r)
 
-    def normal_equations(x, e, r):
-        c = x[p + q] if include_drift else 0.0
-        jac = _css_jacobian(w, x[:p], x[p : p + q], c, e, include_drift)[burn:]
-        return jac.T @ jac, jac.T @ r
+def _levenberg_marquardt(w, x, free, real):
+    """Minimize the CSS of every cell from ``x``; returns the parameters and a state per cell.
 
-    e, r, sse = residuals(x)
-    jtj, grad = normal_equations(x, e, r)
-    mu, nu = 1e-3, 2.0
+    Damping is Marquardt-scaled, mu * diag(J'J), and each cell's mu follows
+    Nielsen's gain-ratio rule (Madsen, Nielsen & Tingleff 2004, sec. 3.2).
+    A cell has converged once a step changes its SSE by at most ``SSE_RTOL``
+    of itself; a step that raises the SSE is never taken.  A cell leaves the
+    batch once it has converged or its damped J'J is singular; one still in
+    it after ``MAX_ITER`` iterations is left ``_RUNNING``.
+    """
+    x, x_out, state = x.copy(), x.copy(), np.full(len(x), _RUNNING)
+    e, z = _css_batch(w, x, real)
+    sse = _sum_squares(e)
+    jtj, grad = _normal_equations(z, x, e, free, real)
+    mu, nu = np.full(len(x), 1e-3), np.full(len(x), 2.0)
+    cells = np.arange(len(x))
     for _ in range(MAX_ITER):
-        if sse == 0.0 or not grad.any():
-            return x
-        scale = np.diag(jtj)
-        _, step, info = dposv(jtj + mu * np.diag(scale), -grad)
-        if info:
-            raise OptimFailed(f"{cell} has a singular Jacobian")
-        e_new, r_new, sse_new = residuals(x + step)
-        if abs(sse - sse_new) <= SSE_RTOL * sse:
-            return x + step if sse_new < sse else x
+        stop = (sse == 0.0) | ~grad.any(axis=1)
+        step, ok = _damped_steps(jtj, grad, mu, free)
+        ok &= ~stop
+        trial = x + step
+        e_new, z_new = _css_batch(w, trial, real)
+        sse_new = _sum_squares(e_new)
+        settled = ok & (np.abs(sse - sse_new) <= SSE_RTOL * sse)
         # predicted SSE reduction of the damped Gauss-Newton model
-        gain = (sse - sse_new) / float(step @ (mu * scale * step - grad))
-        if math.isfinite(sse_new) and gain > 0:
-            x, e, r, sse = x + step, e_new, r_new, sse_new
-            jtj, grad = normal_equations(x, e, r)
-            mu *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
-            nu = 2.0
-        else:
-            mu *= nu
-            nu *= 2.0
-    raise OptimFailed(f"{cell} did not converge in {MAX_ITER} iterations")
+        scale = np.diagonal(jtj, axis1=1, axis2=2)
+        gain = (sse - sse_new) / np.einsum("ij,ij->i", step, mu[:, None] * scale * step - grad)
+        accept = ok & ~settled & np.isfinite(sse_new) & (gain > 0)
+        reject = ok & ~settled & ~accept
+        take = accept | (settled & (sse_new < sse))
+        x[take], sse[take] = trial[take], sse_new[take]
+        if accept.any():
+            jtj[accept], grad[accept] = _normal_equations(
+                z_new[accept], trial[accept], e_new[accept], free[accept], real[accept])
+        mu = np.where(accept, mu * np.maximum(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3),
+                      np.where(reject, mu * nu, mu))
+        nu = np.where(accept, 2.0, np.where(reject, 2.0 * nu, nu))
+
+        leave = ~ok | settled
+        if leave.any():
+            state[cells[stop | settled]] = _CONVERGED
+            state[cells[~ok & ~stop]] = _SINGULAR
+            x_out[cells[leave]] = x[leave]
+            stay = ~leave
+            cells, x, w, real, free, sse, jtj, grad, mu, nu = (
+                a[stay] for a in (cells, x, w, real, free, sse, jtj, grad, mu, nu))
+            if not cells.size:
+                break
+    x_out[cells] = x
+    return x_out, state
 
 
-def _fit_cell(w: np.ndarray, p: int, d: int, q: int, include_drift: bool, mode: str) -> ArimaSpec:
-    """CSS fit of one grid cell on the already d-differenced series ``w``.
+def _roots_ok(tail):
+    """True where every root of 1 + t_1 z + t_2 z^2 has modulus > ROOT_MARGIN.
 
-    A pure AR cell is linear in (phi, c (1 - sum phi)) and is solved by one
-    least-squares regression on its lags; a cell with an MA part goes on
-    from there by Levenberg-Marquardt.
+    ``tail`` holds up to ``MAX_ORDER`` coefficients along its last axis.
+    The reciprocals u of the roots solve u^2 + t_1 u + t_2 = 0, so the test
+    is whether both lie inside the disc of radius 1 / ROOT_MARGIN: a complex
+    pair has modulus sqrt(t_2), and real roots reach
+    (|t_1| + sqrt(t_1^2 - 4 t_2)) / 2.  Zero coefficients lower the degree.
     """
-    cell = f"cell ({p},{d},{q})"
-    # burning 2 - d extra residuals gives every d the same likelihood sample
-    burn = MAX_D - d
-    n_eff = w.size - N_COND - burn
-    k = p + q + 1 + (1 if include_drift else 0)
-    if n_eff < k + 2:
-        raise OptimFailed(f"{cell} needs more observations")
+    tail = np.asarray(tail, float)
+    pad = [(0, 0)] * (tail.ndim - 1) + [(0, MAX_ORDER - tail.shape[-1])]
+    t1, t2 = np.moveaxis(np.pad(tail, pad), -1, 0)
+    disc = t1 * t1 - 4.0 * t2
+    reach = np.where(disc < 0.0, np.sqrt(np.abs(t2)), 0.5 * (np.abs(t1) + np.sqrt(np.abs(disc))))
+    return reach * ROOT_MARGIN < 1.0
 
-    lo = N_COND + burn
+
+def _grid(mode: str) -> list[tuple[int, int, int, bool]]:
+    """The (p, d, q, include_drift) cells of the order search, in search order."""
+    return [
+        (p, d, q, include_drift)
+        for d in ((0, 1, 2) if mode == "nonstationary" else (0,))
+        for p in range(MAX_ORDER + 1)
+        for q in range(MAX_ORDER + 1)
+        for include_drift in ((False, True) if d <= 1 else (False,))
+    ]
+
+
+def _ar_regression(w: np.ndarray, p: int, d: int, include_drift: bool) -> np.ndarray:
+    """Least-squares (phi, c (1 - sum phi)) of the AR(p) cell on the d-differenced ``w``."""
+    lo = N_COND + MAX_D - d
     cols = [w[lo - i : w.size - i] for i in range(1, p + 1)]
     if include_drift:
-        cols.append(np.ones(n_eff))
-    x = np.linalg.lstsq(np.column_stack(cols), w[lo:], rcond=None)[0] if cols else np.empty(0)
-    if q:
-        # start from the cell's pure-AR fit, theta = 0 and the drift at the sample mean
-        x = np.concatenate((x[:p], np.zeros(q), [np.mean(w)] if include_drift else []))
-        # trial steps may leave the invertible region, where residuals overflow
-        with np.errstate(over="ignore", invalid="ignore"):
-            x = _levenberg_marquardt(w, x, p, q, include_drift, burn, cell)
-    if not np.all(np.isfinite(x)):
-        raise OptimFailed(f"non-finite parameters for {cell}")
+        cols.append(np.ones(w.size - lo))
+    return np.linalg.lstsq(np.column_stack(cols), w[lo:], rcond=None)[0] if cols else np.empty(0)
 
-    ar = x[:p].copy()
-    ma = x[p : p + q].copy()
-    if not _roots_ok(-ar):
-        raise OptimFailed(f"{cell} violates the AR stationarity margin")
-    if not _roots_ok(ma):
-        raise OptimFailed(f"{cell} violates the MA invertibility margin")
-    c = float(x[p + q]) if include_drift else 0.0
-    if include_drift and q == 0:
-        # the regression estimated the intercept c (1 - sum phi); the margin excludes a unit root
-        c /= 1.0 - float(np.sum(ar))
-    e = _css_residuals(w, ar, ma, c)[burn:]
-    sse = float(e @ e)
-    if not math.isfinite(sse) or sse < 0:
-        raise OptimFailed(f"non-finite residuals for {cell}")
-    sigma2 = max(sse / n_eff, 1e-300)
-    loglik = -0.5 * n_eff * (math.log(2 * math.pi) + math.log(sigma2) + 1.0)
-    return ArimaSpec(
-        p=p,
-        d=d,
-        q=q,
-        include_drift=include_drift,
-        ar=ar,
-        ma=ma,
-        drift=c,
-        innovation_var=sigma2,
-        loglik=loglik,
-        aic=2.0 * k - 2.0 * loglik,
-        bic=k * math.log(n_eff) - 2.0 * loglik,
-        mode=mode,
-    )
+
+def _layout(series: np.ndarray, cells):
+    """Batch arrays of the (p, d, q, include_drift) ``cells`` on ``series``.
+
+    Returns each cell's d-differenced series front-padded with d zeros
+    (cells, n), its residual rows that are not padding (cells, n - N_COND)
+    and the parameter slots it estimates (cells, N_SLOTS).
+    """
+    n = series.size
+    d = np.array([cell[1] for cell in cells])
+    padded = np.zeros((MAX_D + 1, n))
+    for k in range(MAX_D + 1):
+        padded[k, k:] = np.diff(series, k)
+    free = np.zeros((len(cells), N_SLOTS), bool)
+    for i, (p, _, q, drift) in enumerate(cells):
+        free[i, :p] = free[i, MAX_ORDER : MAX_ORDER + q] = True
+        free[i, _DRIFT] = drift
+    return padded[d], np.arange(n - N_COND) >= d[:, None], free
+
+
+def _fit_cells(series: np.ndarray, cells, mode: str) -> list:
+    """CSS fits of the (p, d, q, include_drift) ``cells`` on ``series``.
+
+    Returns, per cell, its ArimaSpec or the message of why it was rejected.
+    A pure AR cell is its least-squares regression.  A cell with an MA part
+    starts from the regression of its AR part with theta = 0 and the drift
+    at the sample mean, and all of them go on together by
+    Levenberg-Marquardt.
+    """
+    n_eff = series.size - N_COND - MAX_D
+    names = [f"cell ({p},{d},{q})" for p, d, q, _ in cells]
+    reasons = [f"{name} needs more observations" if n_eff < p + q + 3 + drift else None
+               for name, (p, _, q, drift) in zip(names, cells)]
+    w, real, free = _layout(series, cells)
+    x = np.zeros((len(cells), N_SLOTS))
+    regressions = {}
+    for i, (p, d, q, drift) in enumerate(cells):
+        if reasons[i] is None:
+            if (p, d, drift) not in regressions:
+                regressions[p, d, drift] = _ar_regression(w[i, d:], p, d, drift)
+            b = regressions[p, d, drift]
+            x[i, :p] = b[:p]
+            if drift:
+                # an AR cell keeps the intercept c (1 - sum phi) until its margin holds
+                x[i, _DRIFT] = np.mean(w[i, d:]) if q else b[p]
+
+    ma = np.array([r is None and cell[2] > 0 for r, cell in zip(reasons, cells)])
+    # trial steps may leave the invertible region, where residuals overflow
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if ma.any():
+            x[ma], state = _levenberg_marquardt(w[ma], x[ma], free[ma], real[ma])
+            for i, s in zip(np.flatnonzero(ma), state):
+                if s == _SINGULAR:
+                    reasons[i] = f"{names[i]} has a singular Jacobian"
+                elif s == _RUNNING:
+                    reasons[i] = f"{names[i]} did not converge in {MAX_ITER} iterations"
+        finite = np.isfinite(x).all(axis=1)
+        ar_ok = _roots_ok(-x[:, :MAX_ORDER])
+        ma_ok = _roots_ok(x[:, _MA])
+    for i, name in enumerate(names):
+        if reasons[i] is not None:
+            continue
+        if not finite[i]:
+            reasons[i] = f"non-finite parameters for {name}"
+        elif not ar_ok[i]:
+            reasons[i] = f"{name} violates the AR stationarity margin"
+        elif not ma_ok[i]:
+            reasons[i] = f"{name} violates the MA invertibility margin"
+        elif cells[i][3] and cells[i][2] == 0:
+            # the margin excludes a unit root
+            x[i, _DRIFT] /= 1.0 - x[i, :MAX_ORDER].sum()
+
+    live = np.array([r is None for r in reasons])
+    if live.any():
+        e = _css_batch(w[live], x[live], real[live])[0][:, MAX_D:]
+    results = list(reasons)
+    for j, i in enumerate(np.flatnonzero(live)):
+        p, d, q, drift = cells[i]
+        sse = float(e[j] @ e[j])
+        if not math.isfinite(sse):
+            results[i] = f"non-finite residuals for {names[i]}"
+            continue
+        k = p + q + 1 + (1 if drift else 0)
+        sigma2 = max(sse / n_eff, 1e-300)
+        loglik = -0.5 * n_eff * (math.log(2 * math.pi) + math.log(sigma2) + 1.0)
+        results[i] = ArimaSpec(
+            p=p,
+            d=d,
+            q=q,
+            include_drift=drift,
+            ar=x[i, :p].copy(),
+            ma=x[i, MAX_ORDER : MAX_ORDER + q].copy(),
+            drift=float(x[i, _DRIFT]) if drift else 0.0,
+            innovation_var=sigma2,
+            loglik=loglik,
+            aic=2.0 * k - 2.0 * loglik,
+            bic=k * math.log(n_eff) - 2.0 * loglik,
+            mode=mode,
+        )
+    return results
 
 
 def _validate_series(series) -> np.ndarray:
@@ -276,8 +439,10 @@ def fit_spec(
         raise ValueError("drift is only defined for d <= 1")
     if series.size < MIN_OBS:
         raise SeriesTooShort(f"need at least {MIN_OBS} observations, got {series.size}")
-    w = np.diff(series, d) if d else series
-    return _fit_cell(w, p, d, q, include_drift, mode)
+    (spec,) = _fit_cells(series, [(p, d, q, bool(include_drift))], mode)
+    if isinstance(spec, str):
+        raise OptimFailed(spec)
+    return spec
 
 
 def _fallback_spec(series: np.ndarray, mode: str) -> ArimaSpec:
@@ -312,9 +477,11 @@ def fit_auto(series, mode: str = "nonstationary") -> ArimaSpec:
     """Minimum-BIC ARIMA over the order grid.
 
     Nonstationary mode searches d in {0, 1, 2} with drift offered for
-    d <= 1; stationary mode fixes d = 0.  Cells whose fit does not converge
-    or whose roots land on or inside the margin are skipped; if every cell
-    fails the fallback model is returned with ``fallback=True``.
+    d <= 1; stationary mode fixes d = 0.  All cells are fitted in one batch
+    (``_fit_cells``).  Cells whose fit does not converge or whose roots land
+    on or inside the margin are skipped, and the first cell in grid order
+    wins a BIC tie; if every cell fails the fallback model is returned with
+    ``fallback=True``.
     """
     series = _validate_series(series)
     if mode not in MODES:
@@ -322,20 +489,10 @@ def fit_auto(series, mode: str = "nonstationary") -> ArimaSpec:
     if series.size < MIN_OBS:
         raise SeriesTooShort(f"need at least {MIN_OBS} observations, got {series.size}")
 
-    d_values = (0, 1, 2) if mode == "nonstationary" else (0,)
     best = None
-    for d in d_values:
-        w = np.diff(series, d) if d else series
-        for p in range(MAX_ORDER + 1):
-            for q in range(MAX_ORDER + 1):
-                drift_options = (False, True) if d <= 1 else (False,)
-                for include_drift in drift_options:
-                    try:
-                        spec = _fit_cell(w, p, d, q, include_drift, mode)
-                    except OptimFailed:
-                        continue
-                    if best is None or spec.bic < best.bic:
-                        best = spec
+    for spec in _fit_cells(series, _grid(mode), mode):
+        if isinstance(spec, ArimaSpec) and (best is None or spec.bic < best.bic):
+            best = spec
     if best is None:
         return _fallback_spec(series, mode)
     return best

@@ -2,7 +2,10 @@
 
 import math
 import os
+import pathlib
 import re
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -527,3 +530,14 @@ def test_unknown_model_is_a_usage_error(tmp_path):
         main(["fit", "--data", str(tmp_path), "--out", str(tmp_path),
               "--model", "magic"])
     assert exc.value.code == 2
+
+
+def test_cli_import_loads_neither_scipy_signal_nor_stats():
+    # the package needs neither, and together they add about 24 MB and most
+    # of a second to every command's start-up
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, mortfpca.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[:2] in (['scipy', 'signal'], ['scipy', 'stats'])))")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"

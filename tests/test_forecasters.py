@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.stats import norm
 
 from mortfpca.components import FULL_RANK, ComponentRule
 from mortfpca.errors import AlphaOutOfRange, EmptyBundle
@@ -147,6 +148,13 @@ def test_horizon_years_continue_training_years(results, small_truth):
     surfaces = predict_interval(results["independent"])
     expected = small_truth.years[-1] + 1 + np.arange(3)
     np.testing.assert_array_equal(surfaces[0].horizon_years, expected)
+
+
+@pytest.mark.parametrize("alpha", [0.01, 0.05, 0.2])
+def test_interval_half_width_is_the_normal_quantile(results, alpha):
+    surface = predict_interval(results["independent"], alpha=alpha)[0]
+    z = (surface.upper - surface.mean) / np.sqrt(surface.variance)
+    np.testing.assert_allclose(z, norm.ppf(1.0 - alpha / 2.0), rtol=1e-12)
 
 
 def test_alpha_controls_width(results):

@@ -4,15 +4,32 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
+from scipy.linalg.lapack import dposv
 from scipy.signal import lfilter
 
 from mortfpca.errors import NonFiniteInput, OptimFailed, SeriesTooShort
 from mortfpca.tsmodels import (
+    MAX_D,
+    MAX_ITER,
     MIN_OBS,
+    MODES,
+    N_COND,
+    N_SLOTS,
+    ROOT_MARGIN,
+    SSE_RTOL,
     ArimaSpec,
+    _CONVERGED,
+    _SINGULAR,
+    _css_batch,
     _css_jacobian,
     _css_residuals,
     _fallback_spec,
+    _fit_cells,
+    _grid,
+    _layout,
+    _levenberg_marquardt,
     _roots_ok,
     fit_auto,
     fit_spec,
@@ -92,6 +109,22 @@ def test_roots_ok_predicate():
     assert not _roots_ok([-0.9995])    # root inside the margin
     assert not _roots_ok([-2.0, 1.0])  # (1 - z)^2, unit root
     assert _roots_ok([-1.8, 0.81])     # (1 - 0.9 z)^2
+    np.testing.assert_array_equal(_roots_ok([[0.5, 0.0], [-2.0, 1.0]]), [True, False])
+
+
+coefficient = st.one_of(st.just(0.0), st.floats(1e-6, 3.0), st.floats(-3.0, -1e-6))
+
+
+@given(coefficient, coefficient)
+def test_roots_ok_matches_numpy_roots(t1, t2):
+    moduli = np.abs(np.roots(np.trim_zeros(np.array([1.0, t1, t2]), "b")[::-1]))
+    assume(np.all(np.abs(moduli - ROOT_MARGIN) > 1e-6))
+    expected = ref_roots_ok([t1, t2])
+    assert _roots_ok([t1, t2]) == expected
+    assert _roots_ok(np.array([[t1, t2]]))[0] == expected
+    if t2 == 0.0:
+        # a zero tail lowers the degree
+        assert _roots_ok([t1]) == expected
 
 
 def test_explosive_series_rejected_by_stationarity_margin():
@@ -154,19 +187,79 @@ def arma_series(ar, ma, c, t, seed):
     return c + z
 
 
+def pack(specs):
+    """Padded parameter rows (phi_1, phi_2, theta_1, theta_2, drift) of fitted cells."""
+    x = np.zeros((len(specs), N_SLOTS))
+    for i, spec in enumerate(specs):
+        x[i, : spec.p] = spec.ar
+        x[i, 2 : 2 + spec.q] = spec.ma
+        x[i, 4] = spec.drift
+    return x
+
+
 def test_css_jacobian_matches_finite_differences():
-    w = arma_series([0.5, -0.2], [0.4, 0.3], 1.5, 60, seed=5)
-    x = np.array([0.3, -0.1, 0.2, -0.35, 1.2])  # ar, ma, drift of an ARMA(2,2) cell
+    series = np.cumsum(arma_series([0.5, -0.2], [0.4, 0.3], 1.5, 60, seed=5))
+    # next to a full ARMA(2,2) with drift, cells that pad p < 2, q < 2 and d > 0
+    cells = [(2, 0, 2, True), (1, 0, 1, True), (0, 1, 2, False), (2, 1, 1, True), (1, 2, 2, False)]
+    w, real, free = _layout(series, cells)
+    x = np.where(free, np.random.default_rng(6).uniform(-0.4, 0.4, free.shape), 0.0)
+    e, z = _css_batch(w, x, real)
+    jac = _css_jacobian(z, x, e, free, real)
+    assert not jac[~(free.T[:, :, None] & real)].any()
 
-    def resid(x):
-        return _css_residuals(w, x[:2], x[2:4], x[4])
-
-    jac = _css_jacobian(w, x[:2], x[2:4], x[4], resid(x), include_drift=True)
     step = 1e-6
-    numeric = np.column_stack([
-        (resid(x + step * unit) - resid(x - step * unit)) / (2 * step) for unit in np.eye(5)
-    ])
-    np.testing.assert_allclose(jac, numeric, atol=1e-8)
+    for slot, unit in enumerate(np.eye(N_SLOTS)):
+        numeric = (_css_batch(w, x + step * unit, real)[0]
+                   - _css_batch(w, x - step * unit, real)[0]) / (2 * step)
+        est = free[:, slot]
+        np.testing.assert_allclose(jac[slot, est], numeric[est], atol=1e-8)
+
+    # on its rows that are not padding, each cell matches the scalar fitter's Jacobian
+    for i, (p, d, q, drift) in enumerate(cells):
+        ar, ma, c = x[i, :p], x[i, 2 : 2 + q], x[i, 4]
+        wd = np.diff(series, d)
+        ref_e = ref_css_residuals(wd, ar, ma, c)
+        np.testing.assert_allclose(e[i, d:], ref_e, rtol=1e-12, atol=1e-12)
+        ref_jac = ref_css_jacobian(wd, ar, ma, c, ref_e, drift)
+        np.testing.assert_allclose(jac[np.flatnonzero(free[i]), i, d:], ref_jac.T, rtol=1e-12, atol=1e-12)
+
+
+def test_overflowing_cell_does_not_leak_into_other_cells():
+    series = np.cumsum(arma_series([0.5], [0.4], 0.2, 60, seed=7))
+    cells = [(1, 0, 1, True), (2, 1, 2, False), (0, 1, 1, True), (1, 2, 2, False)]
+    w, real, free = _layout(series, cells)
+    x = np.where(free, 0.3, 0.0)
+    x[1, 2] = 1e200  # theta_1 of cell 1 overflows its MA recursion
+    with np.errstate(over="ignore", invalid="ignore"):
+        e, z = _css_batch(w, x, real)
+        jac = _css_jacobian(z, x, e, free, real)
+        assert not np.isfinite(e[1]).all()
+        for i in (0, 2, 3):
+            one = slice(i, i + 1)
+            e_alone, z_alone = _css_batch(w[one], x[one], real[one])
+            np.testing.assert_array_equal(e[i], e_alone[0])
+            np.testing.assert_array_equal(
+                jac[:, i], _css_jacobian(z_alone, x[one], e_alone, free[one], real[one])[:, 0])
+
+
+def test_singular_cell_is_rejected_alone():
+    # zero until its last two values, this series leaves the theta_2 column
+    # of an MA(2) cell all zero, so its damped J'J is singular
+    spike = np.zeros(40)
+    spike[-2:] = (1.0, 2.0)
+    cells = [(1, 0, 1, True), (0, 0, 2, False), (0, 0, 1, True)]
+    w, real, free = _layout(arma_series([0.6], [0.4], 1.0, 40, seed=9), cells)
+    w[1] = spike
+    x = np.where(free, 0.1, 0.0)
+    with np.errstate(invalid="ignore"):
+        fitted, state = _levenberg_marquardt(w, x, free, real)
+        np.testing.assert_array_equal(state, [_CONVERGED, _SINGULAR, _CONVERGED])
+        for i in (0, 2):
+            one = slice(i, i + 1)
+            alone, _ = _levenberg_marquardt(w[one], x[one], free[one], real[one])
+            np.testing.assert_array_equal(fitted[i], alone[0])
+    with pytest.raises(OptimFailed, match="singular"):
+        ref_levenberg_marquardt(spike, np.zeros(2), 0, 2, False, MAX_D, "cell (0,0,2)")
 
 
 @pytest.mark.parametrize("order, include_drift", [((2, 0, 0), True), ((1, 1, 0), True), ((2, 0, 0), False)])
@@ -188,23 +281,43 @@ def test_pure_ar_cell_is_the_least_squares_solution(order, include_drift):
 @pytest.mark.parametrize("seed, ar, ma", [(11, [0.6], [0.4]), (12, [], [-0.5, 0.2]), (13, [0.3, 0.3], [0.5])])
 def test_accepted_ma_cells_are_first_order_optimal(seed, ar, ma):
     series = np.cumsum(arma_series(ar, ma, 0.2, 60, seed=seed))
-    accepted = 0
-    for d in (0, 1, 2):
-        w = np.diff(series, d) if d else series
-        for p in range(3):
-            for q in (1, 2):
-                for include_drift in ((False, True) if d <= 1 else (False,)):
-                    try:
-                        spec = fit_spec(series, (p, d, q), include_drift)
-                    except OptimFailed:
-                        continue
-                    accepted += 1
-                    e = _css_residuals(w, spec.ar, spec.ma, spec.drift)
-                    jac = _css_jacobian(w, spec.ar, spec.ma, spec.drift, e, include_drift)[2 - d :]
-                    e = e[2 - d :]
-                    grad = np.linalg.norm(jac.T @ e)
-                    assert grad <= 1e-5 * np.linalg.norm(jac) * np.linalg.norm(e), (p, d, q, include_drift)
-    assert accepted >= 10
+    cells = [cell for cell in _grid("nonstationary") if cell[2] > 0]
+    fits = _fit_cells(series, cells, "nonstationary")
+    cells, specs = zip(*[(c, f) for c, f in zip(cells, fits) if isinstance(f, ArimaSpec)])
+    assert len(specs) >= 10
+    w, real, free = _layout(series, cells)
+    x = pack(specs)
+    e, z = _css_batch(w, x, real)
+    jac = _css_jacobian(z, x, e, free, real)[:, :, MAX_D:]
+    e = e[:, MAX_D:]
+    for i, cell in enumerate(cells):
+        grad = np.linalg.norm(jac[:, i] @ e[i])
+        assert grad <= 1e-5 * np.linalg.norm(jac[:, i]) * np.linalg.norm(e[i]), cell
+
+
+@pytest.mark.parametrize("d, drift, seed, ar, ma", [
+    (0, 0.0, 31, [0.5], [0.4]),
+    (0, 1.5, 32, [0.3, 0.3], [0.5]),
+    (1, 0.0, 33, [], [-0.5, 0.2]),
+    (1, 0.3, 34, [0.6], [0.4]),
+    (2, 0.0, 35, [0.5], [-0.3]),
+    (2, 0.05, 36, [], [0.4, 0.3]),
+])
+def test_batched_search_matches_the_scalar_fitter(d, drift, seed, ar, ma):
+    series = arma_series(ar, ma, drift, 50, seed=seed)
+    for _ in range(d):
+        series = np.cumsum(series)
+    for mode in MODES:
+        grid = _grid(mode)
+        batch = _fit_cells(series, grid, mode)
+        reference = [ref_fit_cell(series, p, dd, q, dr, mode) for p, dd, q, dr in grid]
+        assert [isinstance(b, ArimaSpec) for b in batch] == [r is not None for r in reference]
+        for b, r in zip(batch, reference):
+            if r is not None:
+                assert abs(b.innovation_var - r.innovation_var) <= 1e-9 * r.innovation_var
+        best = min((r for r in reference if r is not None), key=lambda r: r.bic)
+        chosen = fit_auto(series, mode)
+        assert (chosen.order, chosen.include_drift) == (best.order, best.include_drift)
 
 
 def test_ma1_recovery():
@@ -391,3 +504,109 @@ def test_fallback_specs():
     # two parameters (level and variance) over the 16 residuals after w[4:]
     assert np.isclose(fb.bic, 2 * math.log(16) - 2.0 * fb.loglik, rtol=1e-12)
     assert np.isclose(fb.aic, 2.0 * 2 - 2.0 * fb.loglik, rtol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# scalar reference: the per-cell fitter the batched search replaced, one
+# lfilter call per MA filter and one LAPACK dposv per damped step
+
+
+def ref_css_residuals(w, ar, ma, c):
+    z = w - c
+    n = z.size
+    rhs = z[N_COND:].copy()
+    for i, phi in enumerate(ar, start=1):
+        rhs -= phi * z[N_COND - i : n - i]
+    if len(ma):
+        rhs = lfilter([1.0], np.r_[1.0, ma], rhs)
+    return rhs
+
+
+def ref_css_jacobian(w, ar, ma, c, e, include_drift):
+    z = w - c
+    n = z.size
+    m = n - N_COND
+    cols = [-z[N_COND - i : n - i] for i in range(1, len(ar) + 1)]
+    for j in range(1, len(ma) + 1):
+        cols.append(np.concatenate((np.zeros(j), -e[: m - j])))
+    if include_drift:
+        cols.append(np.full(m, np.sum(ar) - 1.0))
+    return lfilter([1.0], np.r_[1.0, ma], np.array(cols), axis=-1).T
+
+
+def ref_roots_ok(tail):
+    tail = np.trim_zeros(np.asarray(tail, float), "b")
+    if tail.size == 0:
+        return True
+    return bool(np.all(np.abs(np.roots(np.r_[1.0, tail][::-1])) > ROOT_MARGIN))
+
+
+def ref_levenberg_marquardt(w, x, p, q, include_drift, burn, cell):
+    def residuals(x):
+        c = x[p + q] if include_drift else 0.0
+        e = ref_css_residuals(w, x[:p], x[p : p + q], c)
+        r = e[burn:]
+        return e, r, float(r @ r)
+
+    def normal_equations(x, e, r):
+        c = x[p + q] if include_drift else 0.0
+        jac = ref_css_jacobian(w, x[:p], x[p : p + q], c, e, include_drift)[burn:]
+        return jac.T @ jac, jac.T @ r
+
+    e, r, sse = residuals(x)
+    jtj, grad = normal_equations(x, e, r)
+    mu, nu = 1e-3, 2.0
+    for _ in range(MAX_ITER):
+        if sse == 0.0 or not grad.any():
+            return x
+        scale = np.diag(jtj)
+        _, step, info = dposv(jtj + mu * np.diag(scale), -grad)
+        if info:
+            raise OptimFailed(f"{cell} has a singular Jacobian")
+        e_new, r_new, sse_new = residuals(x + step)
+        if abs(sse - sse_new) <= SSE_RTOL * sse:
+            return x + step if sse_new < sse else x
+        gain = (sse - sse_new) / float(step @ (mu * scale * step - grad))
+        if math.isfinite(sse_new) and gain > 0:
+            x, e, r, sse = x + step, e_new, r_new, sse_new
+            jtj, grad = normal_equations(x, e, r)
+            mu *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
+            nu = 2.0
+        else:
+            mu *= nu
+            nu *= 2.0
+    raise OptimFailed(f"{cell} did not converge in {MAX_ITER} iterations")
+
+
+def ref_fit_cell(series, p, d, q, include_drift, mode):
+    """The scalar fit of one cell, or None where it rejects the cell."""
+    w = np.diff(series, d)
+    burn = MAX_D - d
+    n_eff = w.size - N_COND - burn
+    k = p + q + 1 + (1 if include_drift else 0)
+    if n_eff < k + 2:
+        return None
+    lo = N_COND + burn
+    cols = [w[lo - i : w.size - i] for i in range(1, p + 1)]
+    if include_drift:
+        cols.append(np.ones(n_eff))
+    x = np.linalg.lstsq(np.column_stack(cols), w[lo:], rcond=None)[0] if cols else np.empty(0)
+    if q:
+        x = np.concatenate((x[:p], np.zeros(q), [np.mean(w)] if include_drift else []))
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                x = ref_levenberg_marquardt(w, x, p, q, include_drift, burn, "cell")
+        except OptimFailed:
+            return None
+    ar, ma = x[:p], x[p : p + q]
+    if not (np.all(np.isfinite(x)) and ref_roots_ok(-ar) and ref_roots_ok(ma)):
+        return None
+    c = float(x[p + q]) if include_drift else 0.0
+    if include_drift and q == 0:
+        c /= 1.0 - float(np.sum(ar))
+    e = ref_css_residuals(w, ar, ma, c)[burn:]
+    sigma2 = float(e @ e) / n_eff
+    loglik = -0.5 * n_eff * (math.log(2 * math.pi) + math.log(sigma2) + 1.0)
+    return ArimaSpec(p=p, d=d, q=q, include_drift=include_drift, ar=ar, ma=ma, drift=c,
+                     innovation_var=sigma2, loglik=loglik, aic=2.0 * k - 2.0 * loglik,
+                     bic=k * math.log(n_eff) - 2.0 * loglik, mode=mode)
