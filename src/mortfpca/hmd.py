@@ -6,12 +6,23 @@ line, a column header ``Year Age Female Male Total``, then one row per
 rectangular year-by-age grid.  Zero rates and the ``.`` sentinel both mean
 "not observed" and are filled by interpolation along age before any
 modelling step.
+
+Text is handled in bulk.  :func:`parse_hmd_rates` rewrites ``.`` tokens as
+``nan`` and drops the ``+`` of an open age group, then parses every data
+row with one ``np.loadtxt`` call; one ``np.bincount`` over the flat
+(year, age) index finds duplicate and missing cells.  Logs are taken with
+``math.log``, not ``np.log``, whose result differs in the last bit on some
+rates: the surfaces written must not change with the parser.  The CSV
+reader parses the rows after the header with one ``np.loadtxt`` call, and
+the writer formats one year of rows at a time from a row template.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
+import re
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -137,28 +148,38 @@ class SurfaceBundle:
         )
 
 
-def _parse_age(token: str) -> int:
-    if token.endswith("+"):
-        token = token[:-1]
-    try:
-        return int(token)
-    except ValueError as exc:
-        raise MalformedRow(f"unparseable age {token!r}") from exc
+# The line ends str.splitlines() honours besides "\n", replaced in this order.
+_LINE_BREAKS = ("\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+# A lone "." token, HMD's mark for a missing rate, and the "+" that closes an
+# open age group such as "110+".  Each pattern starts with its literal, not a
+# look-behind, so ``re`` jumps between candidates: 7x and 35x faster on an
+# 80-year file.
+_DOT_TOKEN = re.compile(r"\.(?!\S)(?<!\S\.)")
+_OPEN_AGE = re.compile(r"\+(?!\S)(?<=\d\+)")
+_HMD_DTYPE = [("year", "i8"), ("age", "i8"), ("female", "f8"), ("male", "f8"), ("total", "f8")]
+_SEXES = ("female", "male", "total")
 
 
-def _parse_rate(token: str) -> float:
-    """Log rate from one HMD cell; NaN for the '.' sentinel and zero rates."""
-    if token == ".":
-        return math.nan
-    try:
-        value = float(token)
-    except ValueError as exc:
-        raise MalformedRow(f"unparseable rate {token!r}") from exc
-    if value < 0:
-        raise MalformedRow(f"negative rate {token!r}")
-    if value == 0.0:
-        return math.nan
-    return math.log(value)
+def _leading_lines(text: str, count: int):
+    """The first ``count`` non-blank lines of ``text``, stripped, and the text after them."""
+    lines, pos = [], 0
+    while len(lines) < count and pos < len(text):
+        end = text.find("\n", pos)
+        end = len(text) if end < 0 else end + 1
+        line = text[pos:end].strip()
+        if line:
+            lines.append(line)
+        pos = end
+    return lines, text[pos:]
+
+
+def _drop_open_age_plus(match) -> str:
+    """Substitute for one ``_OPEN_AGE`` match: it may only end a row's age token."""
+    text, at = match.string, match.start()
+    row_start = text.rfind("\n", 0, at) + 1
+    if len(text[row_start:at].split()) != 2:
+        raise MalformedRow(f"'+' outside the age column: {text[row_start:at + 1].strip()!r}")
+    return ""
 
 
 def parse_hmd_rates(raw_text: str, max_age: int = 100, prefix: str = "") -> SurfaceBundle:
@@ -180,55 +201,64 @@ def parse_hmd_rates(raw_text: str, max_age: int = 100, prefix: str = "") -> Surf
     """
     if max_age < 1:
         raise ValueError(f"max_age must be >= 1, got {max_age}")
-    lines = [ln.strip() for ln in raw_text.splitlines()]
-    lines = [ln for ln in lines if ln]
-    if len(lines) < 3:
+    text = raw_text
+    for brk in _LINE_BREAKS:
+        if brk in text:
+            text = text.replace(brk, "\n")
+    head, body = _leading_lines(text, 2)
+    del text
+    if len(head) < 2 or not body or body.isspace():
         raise EmptyInput("expected a title line, a header line and data rows")
-    header = lines[1].split()
+    header = head[1].split()
     if header != list(HMD_COLUMNS):
         raise MalformedRow(f"unexpected column header {header!r}, want {list(HMD_COLUMNS)}")
 
-    cells = {}
-    for ln in lines[2:]:
-        tokens = ln.split()
-        if len(tokens) != len(HMD_COLUMNS):
-            raise MalformedRow(f"expected {len(HMD_COLUMNS)} columns, got {len(tokens)}: {ln!r}")
-        try:
-            year = int(tokens[0])
-        except ValueError as exc:
-            raise MalformedRow(f"unparseable year {tokens[0]!r}") from exc
-        age = _parse_age(tokens[1])
-        if age > max_age:
-            continue
-        key = (year, age)
-        if key in cells:
-            raise MalformedRow(f"duplicate row for year {year}, age {age}")
-        cells[key] = tuple(_parse_rate(t) for t in tokens[2:])
-    if not cells:
+    body = _OPEN_AGE.sub(_drop_open_age_plus, _DOT_TOKEN.sub("nan", body))
+    try:
+        rows = np.loadtxt(body.splitlines(), dtype=_HMD_DTYPE, comments=None, ndmin=1)
+    except ValueError as exc:
+        raise MalformedRow(f"unparseable data row: {exc}") from exc
+    del body  # before the arrays below: it sets the parse's peak memory
+    rows = rows[rows["age"] <= max_age]
+    if rows.size == 0:
         raise EmptyInput("no data rows at or below max_age")
+    rates = np.stack([rows[sex] for sex in _SEXES])
+    if np.any(rates < 0):
+        raise MalformedRow("negative rate")
+    if np.any(np.isinf(rates)):
+        raise MalformedRow("infinite rate")
 
-    years = sorted({k[0] for k in cells})
-    ages = sorted({k[1] for k in cells})
+    years, ages = np.unique(rows["year"]), np.unique(rows["age"])
     if np.any(np.diff(years) != 1):
         raise NonContiguousYears(f"years {years[0]}..{years[-1]} have gaps")
     if np.any(np.diff(ages) != 1):
         raise MalformedRow("age coverage has gaps")
-    missing = len(years) * len(ages) - len(cells)
-    if missing:
-        raise MalformedRow(f"{missing} (year, age) cells absent from the file")
-    grids = np.full((3, len(years), len(ages)), np.nan)
-    for (year, age), values in cells.items():
-        grids[:, year - years[0], age - ages[0]] = values
+    if ages[0] < 0:
+        raise MalformedRow(f"negative age {ages[0]}")
+    n_cells = years.size * ages.size
+    if n_cells > rows.size:
+        raise MalformedRow(f"{n_cells - rows.size} or more (year, age) cells absent from the file")
+    cell = (rows["year"] - years[0]) * ages.size + (rows["age"] - ages[0])
+    counts = np.bincount(cell, minlength=n_cells)
+    if counts.max() > 1:
+        year, age = divmod(int(counts.argmax()), ages.size)
+        raise MalformedRow(f"duplicate row for year {years[year]}, age {ages[age]}")
+    # n_cells <= rows and no cell twice: every cell holds exactly one row.
+    # math.log, not np.log, for byte-stable surfaces (see the module docstring).
+    rates[rates == 0.0] = np.nan
+    grids = np.empty((3, n_cells))
+    for k, column in enumerate(rates):
+        grids[k, cell] = np.fromiter(map(math.log, column.tolist()), float, count=column.size)
+    grids = grids.reshape(3, years.size, ages.size)
 
-    names = ("female", "male", "total")
     surfaces = [
         MortalitySurface(
             population_id=f"{prefix}_{name}" if prefix else name,
-            years=np.array(years),
-            ages=np.array(ages),
+            years=years.copy(),
+            ages=ages.copy(),
             log_rates=grids[i],
         )
-        for i, name in enumerate(names)
+        for i, name in enumerate(_SEXES)
     ]
     return SurfaceBundle(surfaces)
 
@@ -256,23 +286,37 @@ def impute_missing(surface: MortalitySurface) -> MortalitySurface:
 # ---------------------------------------------------------------------------
 # CSV persistence
 
+_GRID_DTYPE = [("year", "i8"), ("age", "i8"), ("value", "f8")]
 
-def _write_grid(path, head, years, ages, values) -> None:
-    """Write ``head`` lines, then one ``year,age,value`` row per grid cell.
 
-    Values carry 17 significant digits, enough to round-trip any double.
+def _write_grid(path, head, years, ages, grids, cell_format: str = "%.17g") -> None:
+    """Write ``head`` lines, then one ``year,age,value,...`` row per grid cell.
+
+    ``grids`` holds one year-by-age array per value column, each value
+    written with ``cell_format``: ``%.17g`` carries enough digits to
+    round-trip any double, and ``%r`` is the shortest text that does.  The
+    rows of one year are one ``%`` format of a row template built once per
+    call, with the ages written into it, and one write; the whole grid never
+    exists as text.
     """
     years, ages = np.asarray(years).tolist(), np.asarray(ages).tolist()
-    values = np.asarray(values, dtype=float)
-    if values.shape != (len(years), len(ages)):
-        raise ValueError(f"values shape {values.shape} does not match "
-                         f"{len(years)} years x {len(ages)} ages")
+    grids = [np.asarray(g, dtype=float) for g in grids]
+    for g in grids:
+        if g.shape != (len(years), len(ages)):
+            raise ValueError(f"values shape {g.shape} does not match "
+                             f"{len(years)} years x {len(ages)} ages")
+    width = 1 + len(grids)
+    values_format = ",".join([cell_format] * len(grids))
+    row_format = "".join(f"%d,{age},{values_format}\n" for age in ages)
+    cells = [None] * (width * len(ages))
     try:
         with open(path, "w", encoding="ascii") as fh:
             fh.write("\n".join(head) + "\n")
-            for year, row in zip(years, values):
-                fh.write("".join(f"{year},{age},{v:.17g}\n"
-                                 for age, v in zip(ages, row.tolist())))
+            for t, year in enumerate(years):
+                cells[0::width] = [year] * len(ages)
+                for k, grid in enumerate(grids, 1):
+                    cells[k::width] = grid[t].tolist()
+                fh.write(row_format % tuple(cells))
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
 
@@ -280,7 +324,7 @@ def _write_grid(path, head, years, ages, values) -> None:
 def write_surface_csv(surface: MortalitySurface, path) -> None:
     """Write ``year,age,log_rate`` rows, 17 significant digits per value."""
     head = [f"# population_id={surface.population_id} kind={surface.kind}", CSV_HEADER]
-    _write_grid(path, head, surface.years, surface.ages, surface.log_rates)
+    _write_grid(path, head, surface.years, surface.ages, [surface.log_rates])
 
 
 def _read_grid(path, value_column: str):
@@ -288,46 +332,37 @@ def _read_grid(path, value_column: str):
 
     Returns ``(comment, years, ages, grid)``.  Every row must hold three
     numbers, and rows must run by year then age over the full grid; any
-    other content raises :class:`SchemaMismatch`.
+    other content raises :class:`SchemaMismatch`.  The rows after the
+    header are parsed by one ``np.loadtxt`` call.
     """
+    header = f"year,age,{value_column}"
     try:
         with open(path, "r", encoding="ascii") as fh:
-            lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+            lines = filter(str.strip, fh)  # blank lines are skipped anywhere
+            comment, line = "", next(lines, "").rstrip("\n")
+            if line.startswith("#"):
+                comment, line = line, next(lines, "").rstrip("\n")
+            if line != header:
+                raise SchemaMismatch(f"{path}: expected header {header!r}")
+            first = next(lines, None)
+            if first is None:
+                raise SchemaMismatch(f"{path}: no data rows")
+            rows = np.loadtxt(itertools.chain([first], lines), dtype=_GRID_DTYPE,
+                              delimiter=",", comments=None, ndmin=1)
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise SchemaMismatch(f"{path}: not ASCII text") from exc
-    comment = ""
-    if lines and lines[0].startswith("#"):
-        comment, lines = lines[0], lines[1:]
-    header = f"year,age,{value_column}"
-    if not lines or lines[0] != header:
-        raise SchemaMismatch(f"{path}: expected header {header!r}")
+    except ValueError as exc:
+        raise SchemaMismatch(f"{path}: bad row: {exc}") from exc
 
-    years, ages, values = [], [], []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != 3:
-            raise SchemaMismatch(f"{path}: bad row {ln!r}")
-        try:
-            years.append(int(parts[0]))
-            ages.append(int(parts[1]))
-            values.append(float(parts[2]))
-        except ValueError as exc:
-            raise SchemaMismatch(f"{path}: bad row {ln!r}") from exc
-    if not years:
-        raise SchemaMismatch(f"{path}: no data rows")
-
-    year_list = sorted(set(years))
-    age_list = sorted(set(ages))
-    expected_years = np.repeat(year_list, len(age_list))
-    expected_ages = np.tile(age_list, len(year_list))
-    contiguous = np.all(np.diff(year_list) == 1) and np.all(np.diff(age_list) == 1)
-    if not (contiguous and np.array_equal(years, expected_years)
-            and np.array_equal(ages, expected_ages)):
+    years, ages = np.unique(rows["year"]), np.unique(rows["age"])
+    contiguous = np.all(np.diff(years) == 1) and np.all(np.diff(ages) == 1)
+    if not (contiguous and np.array_equal(rows["year"], np.repeat(years, ages.size))
+            and np.array_equal(rows["age"], np.tile(ages, years.size))):
         raise SchemaMismatch(f"{path}: rows must be ordered by year then age with no gaps")
-    grid = np.asarray(values, dtype=float).reshape(len(year_list), len(age_list))
-    return comment, np.asarray(year_list), np.asarray(age_list), grid
+    grid = rows["value"].reshape(years.size, ages.size).copy()
+    return comment, years, ages, grid
 
 
 def read_surface_csv(path) -> MortalitySurface:
@@ -349,7 +384,7 @@ def read_surface_csv(path) -> MortalitySurface:
 
 def write_matrix_csv(years, ages, values, path, value_column: str) -> None:
     """Persist any year-by-age matrix with the surface layout."""
-    _write_grid(path, [f"year,age,{value_column}"], years, ages, values)
+    _write_grid(path, [f"year,age,{value_column}"], years, ages, [values])
 
 
 def read_matrix_csv(path, value_column: str):

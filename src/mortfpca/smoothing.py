@@ -5,7 +5,7 @@ spaced knot grid, a second-order difference penalty on the coefficients, and
 the penalty weight chosen by generalized cross-validation over a fixed
 lambda grid.  Old-age log rates are expected to rise, so fitted values above
 ``monotone_from_age`` are projected onto the non-decreasing cone with
-pool-adjacent-violators.
+pool-adjacent-violators (``scipy.optimize.isotonic_regression``).
 
 The work is batched over the years of a surface: the design, the penalty
 and the effective degrees of freedom do not depend on the curve, so each
@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.interpolate import BSpline
+from scipy.optimize import isotonic_regression
 
 from .errors import NonFiniteInput, SingularSystem
 
@@ -87,31 +88,6 @@ def difference_penalty(basis_dim: int, order: int) -> np.ndarray:
     """Penalty matrix D'D for an order-th difference penalty on coefficients."""
     d = np.diff(np.eye(basis_dim), n=order, axis=0)
     return d.T @ d
-
-
-def pava_nondecreasing(y: np.ndarray) -> np.ndarray:
-    """Least-squares projection of y onto non-decreasing sequences.
-
-    Classic pool-adjacent-violators with unit weights; O(n).
-    """
-    y = np.asarray(y, dtype=float)
-    n = y.size
-    # each block carries its running mean and the number of points pooled
-    blocks = []
-    for i in range(n):
-        cur_val, cur_w = y[i], 1.0
-        while blocks and blocks[-1][0] > cur_val:
-            prev_val, prev_w = blocks.pop()
-            cur_val = (prev_val * prev_w + cur_val * cur_w) / (prev_w + cur_w)
-            cur_w += prev_w
-        blocks.append((cur_val, cur_w))
-    out = np.empty(n)
-    pos = 0
-    for val, w in blocks:
-        cnt = int(round(w))
-        out[pos : pos + cnt] = val
-        pos += cnt
-    return out
 
 
 def penalized_fit_rows(rows: np.ndarray, config: SmoothConfig, x: np.ndarray | None = None):
@@ -199,7 +175,7 @@ def _monotone_tail(fitted: np.ndarray, ages: np.ndarray, config: SmoothConfig) -
     tail = np.flatnonzero(ages >= config.monotone_from_age)
     if tail.size > 1:
         for row in fitted:
-            row[tail] = pava_nondecreasing(row[tail])
+            row[tail] = isotonic_regression(row[tail]).x
     return fitted
 
 

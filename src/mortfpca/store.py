@@ -19,6 +19,7 @@ from __future__ import annotations
 import os
 
 from .errors import IoError
+from .hmd import _write_grid
 
 
 def write_lines(path, lines, mode: str = "w") -> None:
@@ -77,14 +78,8 @@ def save_mfpca_fit(fit, years, ages, population_ids, outdir) -> None:
 
 def save_forecast_surface(surface, ages, path) -> None:
     """Persist one population's forecast grid with interval bounds."""
-    lines = ["year,age,mean,variance,lower,upper"]
-    for t, year in enumerate(surface.horizon_years):
-        for j, age in enumerate(ages):
-            lines.append(
-                f"{year},{age},{_fmt(surface.mean[t, j])},{_fmt(surface.variance[t, j])},"
-                f"{_fmt(surface.lower[t, j])},{_fmt(surface.upper[t, j])}"
-            )
-    write_lines(path, lines)
+    _write_grid(path, ["year,age,mean,variance,lower,upper"], surface.horizon_years, ages,
+                [surface.mean, surface.variance, surface.lower, surface.upper], "%r")
 
 
 EVAL_HEADER = "country,model,h,pop,rmse,avg_rmse,windows,kappa"

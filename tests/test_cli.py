@@ -130,6 +130,16 @@ def test_ingest_malformed_input_fails_cleanly(tmp_path, capsys):
     assert not any(out.glob("*.csv"))
 
 
+def test_ingest_infinite_rate_fails_with_one_error_line(tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("title\nYear Age Female Male Total\n2000 0 0.1 inf 0.1\n2000 1 0.2 0.2 0.2\n")
+    out = tmp_path / "out"
+    rc = main(["ingest", "--data", str(bad), "--out", str(out)])
+    assert rc == 1
+    assert_error_line(capsys, "hmd", "MalformedRow")
+    assert not any(out.glob("*.csv"))
+
+
 # -- smooth ------------------------------------------------------------------
 
 

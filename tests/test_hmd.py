@@ -1,22 +1,28 @@
 """Parsing, imputation and CSV persistence of mortality surfaces."""
 
 import math
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mortfpca.cli import main
 from mortfpca.errors import (
     AllMissingYear,
     EmptyInput,
     IoError,
     MalformedRow,
+    MortfpcaError,
     NonContiguousYears,
     SchemaMismatch,
 )
+from mortfpca.forecasters import ForecastSurface
 from mortfpca.hmd import (
     CSV_HEADER,
+    HMD_COLUMNS,
     MortalitySurface,
     SurfaceBundle,
     impute_missing,
@@ -26,6 +32,9 @@ from mortfpca.hmd import (
     write_matrix_csv,
     write_surface_csv,
 )
+from mortfpca.smoothing import SmoothConfig, smooth_surface
+from mortfpca.store import save_forecast_surface
+from mortfpca.synthetic import hmd_text_from_bundle, synthetic_bundle
 
 HEADER = "Year          Age             Female            Male           Total"
 
@@ -109,6 +118,10 @@ def test_rows_above_max_age_only_is_empty():
         BASIC_ROWS + ["2000  0  0.9  0.9  0.9"],  # duplicate cell
         BASIC_ROWS[:3],                           # missing cell
         ["2000  0  0.1  0.1  0.1", "2000  2  0.1  0.1  0.1"],  # age gap
+        ["2000  0  0.001   inf    0.0015"],       # infinite rate
+        ["2000  -1  0.1  0.1  0.1", "2000  0  0.1  0.1  0.1"],  # negative age
+        ["2000+  0  0.1  0.1  0.1"],              # '+' after the year
+        ["2000  0  0.1+  0.1  0.1"],              # '+' after a rate
     ],
 )
 def test_malformed_rows_rejected(rows):
@@ -319,7 +332,287 @@ def test_csv_writers_format_extreme_values_like_printf(tmp_path):
     assert lines[1:] == [CSV_HEADER] + expected
     assert read_matrix_csv(tmp_path / "m.csv", "sigma")[2].tobytes() == values.tobytes()
 
+    # forecast files carry repr, the shortest text that round-trips
+    grids = [values, np.abs(values), values - 1.0, values + 1.0]
+    save_forecast_surface(ForecastSurface("pop", years, *grids), ages, tmp_path / "f.csv")
+    expected = [f"{y},{a}," + ",".join(repr(float(g[t, j])) for g in grids)
+                for t, y in enumerate(years) for j, a in enumerate(ages)]
+    lines = (tmp_path / "f.csv").read_text().splitlines()
+    assert lines == ["year,age,mean,variance,lower,upper"] + expected
+
 
 def test_matrix_csv_rejects_a_grid_of_the_wrong_shape(tmp_path):
     with pytest.raises(ValueError):
         write_matrix_csv([2000], [0, 1], np.zeros((2, 2)), tmp_path / "m.csv", "sigma")
+
+
+# ---------------------------------------------------------------------------
+# bulk readers and writer against the row-by-row code they replaced
+
+
+def reference_parse(raw_text, max_age=100):
+    """The row-by-row ``parse_hmd_rates``, returning ``(years, ages, grids)``."""
+    lines = [ln.strip() for ln in raw_text.splitlines()]
+    lines = [ln for ln in lines if ln]
+    if len(lines) < 3 or lines[1].split() != list(HMD_COLUMNS):
+        raise ValueError("no title, header and data rows")
+
+    def rate(token):
+        if token == ".":
+            return math.nan
+        value = float(token)
+        if value < 0:
+            raise ValueError("negative rate")
+        return math.nan if value == 0.0 else math.log(value)
+
+    cells = {}
+    for ln in lines[2:]:
+        tokens = ln.split()
+        if len(tokens) != len(HMD_COLUMNS):
+            raise ValueError("column count")
+        year = int(tokens[0])
+        age = int(tokens[1][:-1] if tokens[1].endswith("+") else tokens[1])
+        if age > max_age:
+            continue
+        if (year, age) in cells:
+            raise ValueError("duplicate")
+        cells[year, age] = tuple(rate(t) for t in tokens[2:])
+    if not cells:
+        raise ValueError("empty")
+    years = sorted({k[0] for k in cells})
+    ages = sorted({k[1] for k in cells})
+    if np.any(np.diff(years) != 1) or np.any(np.diff(ages) != 1):
+        raise ValueError("gaps")
+    if len(years) * len(ages) != len(cells):
+        raise ValueError("missing cells")
+    grids = np.full((3, len(years), len(ages)), np.nan)
+    for (year, age), values in cells.items():
+        grids[:, year - years[0], age - ages[0]] = values
+    return np.array(years), np.array(ages), grids
+
+
+def reference_read_grid(path, value_column):
+    """The row-by-row ``_read_grid``: ``(comment, years, ages, grid)``."""
+    with open(path, "r", encoding="ascii") as fh:
+        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+    comment = ""
+    if lines and lines[0].startswith("#"):
+        comment, lines = lines[0], lines[1:]
+    if not lines or lines[0] != f"year,age,{value_column}":
+        raise ValueError("header")
+    years, ages, values = [], [], []
+    for ln in lines[1:]:
+        parts = ln.split(",")
+        if len(parts) != 3:
+            raise ValueError("field count")
+        years.append(int(parts[0]))
+        ages.append(int(parts[1]))
+        values.append(float(parts[2]))
+    if not years:
+        raise ValueError("no rows")
+    year_list, age_list = sorted(set(years)), sorted(set(ages))
+    contiguous = np.all(np.diff(year_list) == 1) and np.all(np.diff(age_list) == 1)
+    if not (contiguous and np.array_equal(years, np.repeat(year_list, len(age_list)))
+            and np.array_equal(ages, np.tile(age_list, len(year_list)))):
+        raise ValueError("order")
+    grid = np.asarray(values, dtype=float).reshape(len(year_list), len(age_list))
+    return comment, np.asarray(year_list), np.asarray(age_list), grid
+
+
+def reference_write_grid(path, head, years, ages, values):
+    """The f-string writer the row template replaced."""
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write("\n".join(head) + "\n")
+        for year, row in zip(np.asarray(years).tolist(), np.asarray(values, dtype=float)):
+            fh.write("".join(f"{year},{age},{v:.17g}\n"
+                             for age, v in zip(np.asarray(ages).tolist(), row.tolist())))
+
+
+def reference_accepts(reference, *args):
+    try:
+        return reference(*args)
+    except (ValueError, OverflowError):
+        return None
+
+
+def same_arrays(got, expected):
+    return all(
+        a.dtype.kind == b.dtype.kind and a.shape == b.shape
+        and np.array_equal(a, b, equal_nan=a.dtype.kind == "f")
+        for a, b in zip(got, expected)
+    )
+
+
+#: tokens a mutation may insert: sentinels, signs, non-decimal and odd numerals
+TOKENS = (".", "+", "0", "-1", "-0", "1e-3", "2e3", "2000.0", "1_0", "nan", "inf",
+          "1e400", "x", "#", ",", "", " ", "\t", "0.5+", "110+", "2001")
+#: characters a mutation may insert: sentinels, controls, line separators, non-ASCII
+CHARS = (".", "+", "\x00", "\x0b", "\x0c", "\x1c", "\x1f", "\r", "\x85", "\xa0", "\xe9",
+         "\u2028", "\u3000", "\uff11")
+
+
+def mutate(data, lines, sep):
+    """Apply up to four random edits to ``lines``, then join them into one text."""
+    lines = list(lines)
+    for _ in range(data.draw(st.integers(0, 4))):
+        i = data.draw(st.integers(0, max(len(lines) - 1, 0)))
+        kind = data.draw(st.sampled_from(
+            ("drop", "dup", "swap", "insert", "delete", "blank", "truncate", "char")))
+        if not lines:
+            break
+        if kind == "drop":
+            del lines[i]
+        elif kind == "dup":
+            lines.insert(data.draw(st.integers(0, len(lines))), lines[i])
+        elif kind == "swap":
+            j = data.draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif kind in ("insert", "delete"):
+            fields = lines[i].split(sep)
+            k = data.draw(st.integers(0, len(fields) - (kind == "delete")))
+            if kind == "insert":
+                fields.insert(k, data.draw(st.sampled_from(TOKENS)))
+            elif fields:
+                del fields[k]
+            lines[i] = sep.join(fields)
+        elif kind == "blank":
+            lines.insert(i, data.draw(st.sampled_from(("", "  ", "\t"))))
+        elif kind == "truncate":
+            lines[i] = lines[i][: data.draw(st.integers(0, len(lines[i])))]
+            del lines[i + 1:]
+        else:
+            k = data.draw(st.integers(0, len(lines[i])))
+            lines[i] = lines[i][:k] + data.draw(st.sampled_from(CHARS)) + lines[i][k:]
+    return data.draw(st.sampled_from(("\n", "\r\n"))).join(lines) + "\n"
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_parse_matches_the_row_by_row_reference_or_raises(data):
+    n_years, n_ages = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 4))
+    open_age = data.draw(st.booleans())
+    rows = []
+    for year in range(2000, 2000 + n_years):
+        for age in range(n_ages):
+            label = f"{age}+" if open_age and age == n_ages - 1 else str(age)
+            rates = [data.draw(st.sampled_from((".", "0", "0.0012", "1e-3", "0.5", "2.25")))
+                     for _ in range(3)]
+            rows.append("  ".join([str(year), label] + rates))
+    text = mutate(data, ["Sample, Death rates (period 1x1)", HEADER] + rows, "  ")
+    max_age = data.draw(st.sampled_from((1, 2, 100)))
+
+    expected = reference_accepts(reference_parse, text, max_age)
+    try:
+        bundle = parse_hmd_rates(text, max_age=max_age)
+    except MortfpcaError:
+        return
+    assert expected is not None, f"accepted text the row-by-row parser rejects: {text!r}"
+    years, ages, grids = expected
+    for i, surface in enumerate(bundle):
+        assert same_arrays((surface.years, surface.ages, surface.log_rates),
+                           (years, ages, grids[i])), text
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_csv_readers_match_the_row_by_row_reference_or_raise(data):
+    n_years, n_ages = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 4))
+    head = ["# population_id=pop kind=smoothed"] if data.draw(st.booleans()) else []
+    rows = [f"{2000 + t},{a},{data.draw(st.sampled_from(('-1.5', '0.25', '-7', '3e-5')))}"
+            for t in range(n_years) for a in range(n_ages)]
+    text = mutate(data, head + ["year,age,log_rate"] + rows, ",")
+    raw = text.encode("utf-8")
+    if data.draw(st.booleans()):  # a stray non-ASCII byte
+        k = data.draw(st.integers(0, len(raw)))
+        raw = raw[:k] + bytes([data.draw(st.integers(0x80, 0xFF))]) + raw[k:]
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/pop.csv"
+        with open(path, "wb") as fh:
+            fh.write(raw)
+        expected = reference_accepts(reference_read_grid, path, "log_rate")
+        try:
+            got = read_matrix_csv(path, "log_rate")
+        except MortfpcaError:
+            got = None
+        else:
+            assert expected is not None, f"accepted a file the reference rejects: {raw!r}"
+            assert same_arrays(got, expected[1:]), raw
+        try:
+            surface = read_surface_csv(path)
+        except MortfpcaError:
+            return
+    assert got is not None, f"read_surface_csv accepted a file read_matrix_csv rejects: {raw!r}"
+    assert same_arrays((surface.years, surface.ages, surface.log_rates), expected[1:])
+    assert (surface.population_id, surface.kind) == (
+        ("pop", "smoothed") if expected[0] else ("pop", "observed"))
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        ["2000  0  .  .  0.0015", "2000  1  . .  .", "2001  0  0.1  0.2  0.3",
+         "2001  1  0.1  0.2  0.3"],                                     # adjacent sentinels
+        ["2000\t0\t0.001\t0.002\t0.0015", "2000\t1\t0.003\t.\t0.0035"],  # tabs
+        ["2000  99  0.5  0.6  0.55", "2000  100  0.7  .  0.75",
+         "2000  110+  0.9  0.9  0.9"],                                  # open age group
+        ["   2000  0  0.001  0.002  0.0015", "\t 2000  1  0.003  0.004  0.0035  "],  # indents
+    ],
+)
+@pytest.mark.parametrize("line_end", ["\n", "\r\n", "\r"])
+def test_parse_layout_variants_match_the_reference(rows, line_end):
+    text = hmd_text(rows).replace("\n", line_end)
+    years, ages, grids = reference_parse(text)
+    bundle = parse_hmd_rates(text)
+    for i, surface in enumerate(bundle):
+        assert same_arrays((surface.years, surface.ages, surface.log_rates),
+                           (years, ages, grids[i]))
+
+
+def test_header_only_csv_is_a_schema_mismatch_without_warnings(tmp_path):
+    path = tmp_path / "pop.csv"
+    path.write_text(f"# population_id=pop kind=observed\n{CSV_HEADER}\n\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SchemaMismatch):
+            read_surface_csv(path)
+
+
+def blanked_mx_text(seed):
+    """Mx_1x1 text of 30 years x ages 0-100 with 0.5% of the rate cells blank."""
+    text = hmd_text_from_bundle(synthetic_bundle(seed=seed, n_years=30))
+    rng = np.random.default_rng(seed)
+    lines = text.splitlines()
+    for i in range(2, len(lines)):
+        tokens = lines[i].split()
+        for k in range(2, 5):
+            if rng.random() < 0.005:
+                tokens[k] = "."
+        lines[i] = "  ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("seed", [11, 12])
+def test_ingest_and_smooth_write_the_reference_bytes(tmp_path, seed):
+    raw = tmp_path / "raw.txt"
+    raw.write_text(blanked_mx_text(seed))
+    obs, smo, ref = tmp_path / "obs", tmp_path / "smo", tmp_path / "ref"
+    assert main(["ingest", "--data", str(raw), "--out", str(obs), "--country", "X"]) == 0
+    assert main(["smooth", "--data", str(obs), "--out", str(smo)]) == 0
+    ref.mkdir()
+
+    years, ages, grids = reference_parse(raw.read_text())
+    assert np.isnan(grids).any()
+    for i, sex in enumerate(("female", "male", "total")):
+        pid = f"X_{sex}"
+        observed = impute_missing(MortalitySurface(pid, years, ages, grids[i]))
+        reference_write_grid(ref / f"{pid}.csv", [f"# population_id={pid} kind=observed",
+                                                  CSV_HEADER], years, ages, observed.log_rates)
+        comment, y, a, grid = reference_read_grid(ref / f"{pid}.csv", "log_rate")
+        smoothed, field = smooth_surface(MortalitySurface(pid, y, a, grid), SmoothConfig())
+        reference_write_grid(ref / f"{pid}.smoothed.csv", [f"# population_id={pid} kind=smoothed",
+                                                           CSV_HEADER], y, a, smoothed.log_rates)
+        reference_write_grid(ref / f"{pid}.sigma.csv", ["year,age,sigma"], y, a, field.sigma)
+        assert (obs / f"{pid}.csv").read_bytes() == (ref / f"{pid}.csv").read_bytes()
+        assert (smo / f"{pid}.csv").read_bytes() == (ref / f"{pid}.smoothed.csv").read_bytes()
+        assert (smo / f"{pid}.sigma.csv").read_bytes() == (ref / f"{pid}.sigma.csv").read_bytes()

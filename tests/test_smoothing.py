@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy.optimize import isotonic_regression
 
 from mortfpca.errors import NonFiniteInput, SingularSystem
 from mortfpca.hmd import MortalitySurface
@@ -12,8 +11,8 @@ from mortfpca.smoothing import (
     ResidualField,
     SmoothConfig,
     bspline_design,
+    _monotone_tail,
     difference_penalty,
-    pava_nondecreasing,
     penalized_fit,
     penalized_fit_rows,
     residual_field,
@@ -65,25 +64,39 @@ def test_penalty_quadratic_form_sums_squared_differences(coef):
         assert np.isclose(coef @ penalty @ coef, expected, atol=1e-9)
 
 
+def pava_reference(y):
+    """Pure-Python pool-adjacent-violators with unit weights, the reference for the tail."""
+    blocks = []  # each block carries its running mean and the number of points pooled
+    for value in np.asarray(y, dtype=float):
+        cur_val, cur_w = value, 1.0
+        while blocks and blocks[-1][0] > cur_val:
+            prev_val, prev_w = blocks.pop()
+            cur_val = (prev_val * prev_w + cur_val * cur_w) / (prev_w + cur_w)
+            cur_w += prev_w
+        blocks.append((cur_val, cur_w))
+    return np.concatenate([np.full(int(round(w)), val) for val, w in blocks])
+
+
+def project_tail(y):
+    """The monotone-tail projection of one curve whose every age is in the tail."""
+    y = np.array(y, dtype=float)
+    return _monotone_tail(y[np.newaxis], np.arange(y.size), SmoothConfig(monotone_from_age=0))[0]
+
+
 def test_pava_frozen_examples():
-    np.testing.assert_allclose(pava_nondecreasing(np.array([3.0, 1.0, 2.0])), [2.0, 2.0, 2.0])
-    np.testing.assert_allclose(
-        pava_nondecreasing(np.array([1.0, 3.0, 2.0, 4.0])), [1.0, 2.5, 2.5, 4.0]
-    )
-    np.testing.assert_allclose(
-        pava_nondecreasing(np.array([4.0, 3.0, 2.0, 1.0])), [2.5, 2.5, 2.5, 2.5]
-    )
-    np.testing.assert_allclose(pava_nondecreasing(np.array([1.0, 2.0])), [1.0, 2.0])
+    np.testing.assert_allclose(project_tail([3.0, 1.0, 2.0]), [2.0, 2.0, 2.0])
+    np.testing.assert_allclose(project_tail([1.0, 3.0, 2.0, 4.0]), [1.0, 2.5, 2.5, 4.0])
+    np.testing.assert_allclose(project_tail([4.0, 3.0, 2.0, 1.0]), [2.5, 2.5, 2.5, 2.5])
+    np.testing.assert_allclose(project_tail([1.0, 2.0]), [1.0, 2.0])
 
 
 @given(st.lists(st.floats(min_value=-100, max_value=100), min_size=1, max_size=30))
 def test_pava_matches_reference_isotonic_regression(y):
     y = np.asarray(y)
-    ours = pava_nondecreasing(y)
-    reference = isotonic_regression(y, increasing=True).x
-    np.testing.assert_allclose(ours, reference, atol=1e-9)
+    ours = project_tail(y)
+    np.testing.assert_allclose(ours, pava_reference(y), atol=1e-9)
     assert np.all(np.diff(ours) >= -1e-12)
-    np.testing.assert_allclose(pava_nondecreasing(ours), ours, atol=1e-12)
+    np.testing.assert_allclose(project_tail(ours), ours, atol=1e-12)
 
 
 def _gcv_oracle(y, config, x=None):
