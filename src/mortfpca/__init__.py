@@ -40,6 +40,7 @@ from .tsmodels import (
     ArimaSpec,
     ScoreForecast,
     fit_auto,
+    fit_auto_many,
     fit_spec,
     forecast,
     psi_weights,
@@ -74,6 +75,7 @@ __all__ = [
     "SurfaceBundle",
     "WeightScheme",
     "fit_auto",
+    "fit_auto_many",
     "fit_coherent",
     "fit_independent",
     "fit_mfpca",

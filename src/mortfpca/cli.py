@@ -28,7 +28,7 @@ import numpy as np
 
 from .components import ComponentRule
 from .demographics import life_expectancy, sex_ratio
-from .errors import ConfigError, MortfpcaError, SchemaMismatch
+from .errors import ConfigError, MalformedRow, MortfpcaError, SchemaMismatch
 from .evaluation import rolling_rmse, smooth_bundle, tune_kappa
 from .forecasters import MODELS, fit_model, predict_interval
 from .hmd import (
@@ -102,6 +102,18 @@ def _coerce(key: str, raw: str):
         raise ConfigError(f"bad value for {key!r}: {raw!r}") from exc
 
 
+def _not_utf8(path) -> str:
+    """``path:line: byte ... is not UTF-8`` for the first such byte of ``path``."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        return f"{path}:{line}: byte {data[exc.start]:#04x} is not UTF-8"
+    return f"{path}: not UTF-8 text"
+
+
 def _read_config_file(path) -> dict:
     known = {f.name for f in fields(RunConfig)} - {"command"}
     values = {}
@@ -110,6 +122,8 @@ def _read_config_file(path) -> dict:
             lines = fh.readlines()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(_not_utf8(path)) from exc
     for lineno, line in enumerate(lines, 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -292,6 +306,8 @@ def cmd_ingest(cfg: RunConfig) -> int:
             raw = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read {cfg.data}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise MalformedRow(_not_utf8(cfg.data)) from exc
     bundle = parse_hmd_rates(raw, max_age=cfg.max_age, prefix=cfg.country)
     for surface in bundle:
         filled = impute_missing(surface)

@@ -31,7 +31,7 @@ squared eigenfunctions, and the smoothing residual scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 from operator import add
 
@@ -42,7 +42,7 @@ from .components import ComponentRule
 from .errors import AlphaOutOfRange, EmptyBundle
 from .mfpca import fit_mfpca, _extract_curves
 from .smoothing import ResidualField
-from .tsmodels import fit_auto, forecast
+from .tsmodels import fit_auto_many, forecast
 from .ufpca import (
     FpcaFit,
     WeightScheme,
@@ -90,7 +90,7 @@ class Block:
     covers: list
     fit: FpcaFit
     mode: str
-    forecasts: list  # ScoreForecast per score column
+    forecasts: list = field(default_factory=list)  # ScoreForecast per score column
 
     def entry(self, i: int):
         """Mean curve and loading matrix this block adds to population ``i``."""
@@ -127,13 +127,17 @@ def _check_horizon(h: int):
         raise ValueError(f"horizon must be >= 1, got {h}")
 
 
-def _block(name, covers, fit: FpcaFit, mode: str, h: int) -> Block:
-    """A block that forecasts each score series of ``fit`` with an automatic ARIMA."""
-    forecasts = []
-    for series in fit.scores.T:
-        spec = fit_auto(series, mode=mode)
-        forecasts.append(forecast(spec, series, h))
-    return Block(name, covers, fit, mode, forecasts)
+def _forecast_blocks(ids, years, h: int, weights: WeightScheme, blocks) -> ModelResult:
+    """The model of ``blocks``, each score series forecast by an automatic ARIMA.
+
+    The order search runs once for every score column of every block
+    (``fit_auto_many``); the forecasts follow in block and column order.
+    """
+    columns = [(series, block.mode) for block in blocks for series in block.fit.scores.T]
+    specs = iter(fit_auto_many([series for series, _ in columns], [mode for _, mode in columns]))
+    for block in blocks:
+        block.forecasts = [forecast(next(specs), series, h) for series in block.fit.scores.T]
+    return ModelResult(ids, years, h, weights, blocks)
 
 
 def _year_weights(kappa: float | None, n_years: int) -> WeightScheme:
@@ -146,10 +150,10 @@ def fit_independent(bundle, rule: ComponentRule | None = None, h: int = 20) -> M
     curves, ids, years = _bundle_parts(bundle)
     weights = uniform_weights(curves[0].shape[0])
     blocks = [
-        _block(pid, [i], fit_ufpca(c, weights, rule), "nonstationary", h)
+        Block(pid, [i], fit_ufpca(c, weights, rule), "nonstationary")
         for i, (pid, c) in enumerate(zip(ids, curves))
     ]
-    return ModelResult(ids, years, h, weights, blocks)
+    return _forecast_blocks(ids, years, h, weights, blocks)
 
 
 def fit_wmfpca(bundle, kappa: float | None, rule: ComponentRule | None = None,
@@ -163,8 +167,8 @@ def fit_wmfpca(bundle, kappa: float | None, rule: ComponentRule | None = None,
     curves, ids, years = _bundle_parts(bundle)
     weights = _year_weights(kappa, curves[0].shape[0])
     fit = fit_mfpca(curves, weights, rule, weight_power)
-    block = _block("", list(range(len(ids))), fit, "nonstationary", h)
-    return ModelResult(ids, years, h, weights, [block])
+    block = Block("", list(range(len(ids))), fit, "nonstationary")
+    return _forecast_blocks(ids, years, h, weights, [block])
 
 
 def fit_coherent(bundle, kappa: float | None, rule: ComponentRule | None = None,
@@ -184,10 +188,10 @@ def fit_coherent(bundle, kappa: float | None, rule: ComponentRule | None = None,
     trend = common_fit.reconstruct()
     deviation_fit = fit_mfpca([c - trend for c in curves], weights, rule, weight_power)
     blocks = [
-        _block("common", everyone, common_fit, "nonstationary", h),
-        _block("deviations", everyone, deviation_fit, "stationary", h),
+        Block("common", everyone, common_fit, "nonstationary"),
+        Block("deviations", everyone, deviation_fit, "stationary"),
     ]
-    return ModelResult(ids, years, h, weights, blocks)
+    return _forecast_blocks(ids, years, h, weights, blocks)
 
 
 def fit_product_ratio(bundle, rule: ComponentRule | None = None, h: int = 20) -> ModelResult:
@@ -202,14 +206,13 @@ def fit_product_ratio(bundle, rule: ComponentRule | None = None, h: int = 20) ->
     curves, ids, years = _bundle_parts(bundle)
     weights = uniform_weights(curves[0].shape[0])
     average_curve = np.mean(curves, axis=0)
-    blocks = [_block("product", list(range(len(ids))),
-                     fit_ufpca(average_curve, weights, rule), "nonstationary", h)]
+    blocks = [Block("product", list(range(len(ids))),
+                    fit_ufpca(average_curve, weights, rule), "nonstationary")]
     blocks += [
-        _block(f"ratio_{pid}", [i], fit_ufpca(c - average_curve, weights, rule),
-                    "stationary", h)
+        Block(f"ratio_{pid}", [i], fit_ufpca(c - average_curve, weights, rule), "stationary")
         for i, (pid, c) in enumerate(zip(ids, curves))
     ]
-    return ModelResult(ids, years, h, weights, blocks)
+    return _forecast_blocks(ids, years, h, weights, blocks)
 
 
 def fit_model(bundle, model: str, h: int = 20, kappa: float | None = None,

@@ -14,7 +14,9 @@ row with one ``np.loadtxt`` call; one ``np.bincount`` over the flat
 ``math.log``, not ``np.log``, whose result differs in the last bit on some
 rates: the surfaces written must not change with the parser.  The CSV
 reader parses the rows after the header with one ``np.loadtxt`` call, and
-the writer formats one year of rows at a time from a row template.
+the writer formats one year of rows at a time from a row template.  When a
+parse fails, both readers look for the first bad row again and name it by
+its line number in the file.
 """
 
 from __future__ import annotations
@@ -182,6 +184,43 @@ def _drop_open_age_plus(match) -> str:
     return ""
 
 
+def _loads(lines, dtype, delimiter) -> bool:
+    """Whether ``np.loadtxt`` parses ``lines`` as rows of ``dtype``."""
+    try:
+        np.loadtxt(lines, dtype=dtype, delimiter=delimiter, comments=None, ndmin=1)
+    except ValueError:
+        return False
+    return True
+
+
+def _bad_line(lines, first_line: int, dtype, delimiter=None):
+    """File line number and reason of the first line of ``lines`` that ``np.loadtxt`` rejects.
+
+    ``lines[0]`` is line ``first_line`` of the file.
+
+    For error messages only, since it parses again: bisection finds the
+    first non-blank line that does not parse, in about log2(len(lines))
+    calls over the lines before it, then its field count or first bad field
+    says why.  numpy's own message counts data rows, not file lines.
+    """
+    numbered = [(first_line + i, line.strip()) for i, line in enumerate(lines) if line.strip()]
+    lo, hi = 0, len(numbered)  # numbered[:lo] parse, numbered[:hi] do not
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _loads([line for _, line in numbered[lo:mid]], dtype, delimiter):
+            lo = mid
+        else:
+            hi = mid
+    number, line = numbered[lo]
+    fields = line.split(delimiter)
+    if len(fields) != len(dtype):
+        return number, f"expected {len(dtype)} fields, found {len(fields)}"
+    for column, value in zip(dtype, fields):
+        if not value.strip() or not _loads([value], [column], delimiter):
+            return number, f"bad {column[0]} {value.strip()!r}"
+    return number, "unparseable row"
+
+
 def parse_hmd_rates(raw_text: str, max_age: int = 100, prefix: str = "") -> SurfaceBundle:
     """Parse Mx_1x1 text into female, male and total log-rate surfaces.
 
@@ -206,6 +245,7 @@ def parse_hmd_rates(raw_text: str, max_age: int = 100, prefix: str = "") -> Surf
         if brk in text:
             text = text.replace(brk, "\n")
     head, body = _leading_lines(text, 2)
+    first_body_line = text.count("\n", 0, len(text) - len(body)) + 1
     del text
     if len(head) < 2 or not body or body.isspace():
         raise EmptyInput("expected a title line, a header line and data rows")
@@ -217,7 +257,9 @@ def parse_hmd_rates(raw_text: str, max_age: int = 100, prefix: str = "") -> Surf
     try:
         rows = np.loadtxt(body.splitlines(), dtype=_HMD_DTYPE, comments=None, ndmin=1)
     except ValueError as exc:
-        raise MalformedRow(f"unparseable data row: {exc}") from exc
+        number, reason = _bad_line(body.splitlines(), first_body_line, _HMD_DTYPE)
+        line = raw_text.splitlines()[number - 1].strip()
+        raise MalformedRow(f"line {number}: {reason}: {line!r}") from exc
     del body  # before the arrays below: it sets the parse's peak memory
     rows = rows[rows["age"] <= max_age]
     if rows.size == 0:
@@ -287,6 +329,8 @@ def impute_missing(surface: MortalitySurface) -> MortalitySurface:
 # CSV persistence
 
 _GRID_DTYPE = [("year", "i8"), ("age", "i8"), ("value", "f8")]
+# np.loadtxt strips these ASCII separators around a number, where int() and float() reject them
+_SEPARATOR_CONTROLS = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
 
 def _write_grid(path, head, years, ages, grids, cell_format: str = "%.17g") -> None:
@@ -337,6 +381,14 @@ def _read_grid(path, value_column: str):
     """
     header = f"year,age,{value_column}"
     try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        at = min((i for i in map(data.find, _SEPARATOR_CONTROLS) if i >= 0), default=-1)
+        if at >= 0:
+            head = data[:at]
+            number = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+            raise SchemaMismatch(f"{path}: line {number}: control character {data[at]:#04x}")
+        del data
         with open(path, "r", encoding="ascii") as fh:
             lines = filter(str.strip, fh)  # blank lines are skipped anywhere
             comment, line = "", next(lines, "").rstrip("\n")
@@ -354,7 +406,14 @@ def _read_grid(path, value_column: str):
     except UnicodeDecodeError as exc:
         raise SchemaMismatch(f"{path}: not ASCII text") from exc
     except ValueError as exc:
-        raise SchemaMismatch(f"{path}: bad row: {exc}") from exc
+        with open(path, "r", encoding="ascii") as fh:
+            lines = fh.readlines()
+        # the data rows follow the header, the comment's or the file's first non-blank line
+        heads = [i for i, line in enumerate(lines) if line.strip()][: 2 if comment else 1]
+        number, reason = _bad_line(lines[heads[-1] + 1 :], heads[-1] + 2,
+                                   _GRID_DTYPE[:2] + [(value_column, "f8")], ",")
+        line = lines[number - 1].strip()
+        raise SchemaMismatch(f"{path}: line {number}: {reason}: {line!r}") from exc
 
     years, ages = np.unique(rows["year"]), np.unique(rows["age"])
     contiguous = np.all(np.diff(years) == 1) and np.all(np.diff(ages) == 1)

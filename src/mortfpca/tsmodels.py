@@ -20,6 +20,12 @@ identifies the true order consistently (Hannan 1980), whereas AIC's fixed
 penalty of 2 per parameter keeps a constant chance of choosing an overfit
 cell (Shibata 1976).
 
+A batch may hold the cells of several series of one length:
+``fit_auto_many`` searches every score series of a model fit at once, and
+every cell still converges, fails and is chosen as it would alone, so each
+series gets the spec ``fit_auto`` gives it.  A model fit therefore runs
+one order search, not one per series.
+
 The MA filter 1 / theta(B) of a batch is one unit lower-triangular band
 matrix of bandwidth ``MAX_ORDER``, block-diagonal over the cells, so the
 residuals and the Jacobian columns of every cell are filtered by one LAPACK
@@ -117,7 +123,10 @@ class ScoreForecast:
 
 
 def _band_solve(theta: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve theta(B) y = rhs along the last axis of ``rhs`` (k, cells, m), one theta row per cell."""
+    """Solve theta(B) y = rhs along the last axis of ``rhs`` (k, cells, m), one theta row per cell.
+
+    The solution overwrites a C-contiguous ``rhs``.
+    """
     k, cells, m = rhs.shape
     # LAPACK lower band storage, built transposed so that it is Fortran-ordered;
     # column 0, the unit diagonal, is not read
@@ -125,22 +134,29 @@ def _band_solve(theta: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     for j in range(1, MAX_ORDER + 1):
         # the last j rows of a cell stay zero, so no cell reaches into the next
         band[:, : m - j, j] = theta[:, j - 1, None]
-    y, _ = dtbtrs(band.reshape(-1, MAX_ORDER + 1).T, rhs.reshape(k, -1).T, uplo="L", diag="U")
+    y, _ = dtbtrs(band.reshape(-1, MAX_ORDER + 1).T, rhs.reshape(k, -1).T, uplo="L", diag="U",
+                  overwrite_b=True)
     return y.T.reshape(k, cells, m)
 
 
-def _ma_filter(theta: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Apply 1 / theta(B) to every cell's rows of ``rhs`` (k, cells, m) in one banded solve.
+def _ma_filter(theta: np.ndarray, rhs_of) -> np.ndarray:
+    """Apply 1 / theta(B) to the rows (k, cells, m) of every cell in one banded solve.
 
-    Forward substitution carries a non-finite value on as 0 * inf = nan
-    across the zero coupling between cells, so the cells after the first
-    one with a non-finite result are solved again one at a time.
+    ``rhs_of(cells)`` builds the right-hand sides of a slice of cells, and
+    the solve overwrites them.  Forward substitution carries a non-finite
+    value on as 0 * inf = nan across the zero coupling between cells, so
+    the cells after the first non-finite one are built and solved again
+    together, and so on from the next non-finite one: one more solve per
+    non-finite cell.
     """
-    y = _band_solve(theta, rhs)
-    if not np.isfinite(y).all():
-        finite = np.isfinite(y).all(axis=(0, 2))
-        for i in range(int(np.argmin(finite)) + 1, finite.size):
-            y[:, i] = _band_solve(theta[i : i + 1], rhs[:, i : i + 1])[:, 0]
+    y = _band_solve(theta, rhs_of(slice(None)))
+    start = 0
+    while not np.isfinite(y[:, start:]).all():
+        # the first non-finite cell's own rows are right; the rows after it are not
+        start += int(np.argmin(np.isfinite(y[:, start:]).all(axis=(0, 2)))) + 1
+        if start == len(theta):
+            break
+        y[:, start:] = _band_solve(theta[start:], rhs_of(slice(start, None)))
     return y
 
 
@@ -154,10 +170,15 @@ def _css_batch(w: np.ndarray, x: np.ndarray, real: np.ndarray):
     """
     z = w - x[:, _DRIFT, None]
     n = w.shape[1]
-    rhs = z[:, N_COND:].copy()
-    for i in range(1, MAX_ORDER + 1):
-        rhs -= x[:, i - 1, None] * z[:, N_COND - i : n - i]
-    return _ma_filter(x[:, _MA], np.where(real, rhs, 0.0)[None])[0], z
+
+    def rhs_of(cells):
+        rhs = z[cells, N_COND:].copy()
+        for i in range(1, MAX_ORDER + 1):
+            rhs -= x[cells, i - 1, None] * z[cells, N_COND - i : n - i]
+        np.copyto(rhs, 0.0, where=~real[cells])
+        return rhs[None]
+
+    return _ma_filter(x[:, _MA], rhs_of)[0], z
 
 
 def _css_residuals(w: np.ndarray, ar, ma, c: float) -> np.ndarray:
@@ -181,12 +202,18 @@ def _css_jacobian(z: np.ndarray, x: np.ndarray, e: np.ndarray, free: np.ndarray,
     """
     m = e.shape[1]
     n = z.shape[1]
-    cols = np.zeros((N_SLOTS, *e.shape))
-    for i in range(1, MAX_ORDER + 1):
-        cols[i - 1] = -z[:, N_COND - i : n - i]
-        cols[MAX_ORDER + i - 1, :, i:] = -e[:, : m - i]
-    cols[_DRIFT] = x[:, :MAX_ORDER].sum(axis=1)[:, None] - 1.0
-    return _ma_filter(x[:, _MA], np.where(free.T[:, :, None] & real, cols, 0.0))
+
+    def rhs_of(cells):
+        ze = z[cells]
+        cols = np.zeros((N_SLOTS, len(ze), m))
+        for i in range(1, MAX_ORDER + 1):
+            cols[i - 1] = -ze[:, N_COND - i : n - i]
+            cols[MAX_ORDER + i - 1, :, i:] = -e[cells, : m - i]
+        cols[_DRIFT] = x[cells, :MAX_ORDER].sum(axis=1)[:, None] - 1.0
+        np.copyto(cols, 0.0, where=~(free[cells].T[:, :, None] & real[cells]))
+        return cols
+
+    return _ma_filter(x[:, _MA], rhs_of)
 
 
 def _sum_squares(e: np.ndarray) -> np.ndarray:
@@ -235,6 +262,7 @@ def _levenberg_marquardt(w, x, free, real):
     e, z = _css_batch(w, x, real)
     sse = _sum_squares(e)
     jtj, grad = _normal_equations(z, x, e, free, real)
+    del e, z  # the loop keeps only its trial residuals
     mu, nu = np.full(len(x), 1e-3), np.full(len(x), 2.0)
     cells = np.arange(len(x))
     for _ in range(MAX_ITER):
@@ -329,19 +357,21 @@ def _layout(series: np.ndarray, cells):
     return padded[d], np.arange(n - N_COND) >= d[:, None], free
 
 
-def _fit_cells(series: np.ndarray, cells, mode: str) -> list:
-    """CSS fits of the (p, d, q, include_drift) ``cells`` on ``series``.
+def _cell_name(cell) -> str:
+    p, d, q, _ = cell
+    return f"cell ({p},{d},{q})"
 
-    Returns, per cell, its ArimaSpec or the message of why it was rejected.
-    A pure AR cell is its least-squares regression.  A cell with an MA part
-    starts from the regression of its AR part with theta = 0 and the drift
-    at the sample mean, and all of them go on together by
-    Levenberg-Marquardt.
+
+def _start_cells(series: np.ndarray, cells):
+    """Rejection reasons, batch arrays (``_layout``) and start values of ``cells`` on ``series``.
+
+    A pure AR cell starts at, and is, its least-squares regression.  A cell
+    with an MA part starts from the regression of its AR part with theta = 0
+    and the drift at the sample mean.
     """
     n_eff = series.size - N_COND - MAX_D
-    names = [f"cell ({p},{d},{q})" for p, d, q, _ in cells]
-    reasons = [f"{name} needs more observations" if n_eff < p + q + 3 + drift else None
-               for name, (p, _, q, drift) in zip(names, cells)]
+    reasons = [f"cell ({p},{d},{q}) needs more observations" if n_eff < p + q + 3 + drift else None
+               for p, d, q, drift in cells]
     w, real, free = _layout(series, cells)
     x = np.zeros((len(cells), N_SLOTS))
     regressions = {}
@@ -354,42 +384,41 @@ def _fit_cells(series: np.ndarray, cells, mode: str) -> list:
             if drift:
                 # an AR cell keeps the intercept c (1 - sum phi) until its margin holds
                 x[i, _DRIFT] = np.mean(w[i, d:]) if q else b[p]
+    return reasons, w, real, free, x
 
-    ma = np.array([r is None and cell[2] > 0 for r, cell in zip(reasons, cells)])
-    # trial steps may leave the invertible region, where residuals overflow
+
+def _finish_cells(series: np.ndarray, cells, mode: str, reasons, w, real, x) -> list:
+    """Margins, final CSS and ArimaSpec of every cell ``reasons`` has not rejected.
+
+    Returns, per cell, its ArimaSpec or the message of why it was rejected.
+    """
+    n_eff = series.size - N_COND - MAX_D
+    results = list(reasons)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if ma.any():
-            x[ma], state = _levenberg_marquardt(w[ma], x[ma], free[ma], real[ma])
-            for i, s in zip(np.flatnonzero(ma), state):
-                if s == _SINGULAR:
-                    reasons[i] = f"{names[i]} has a singular Jacobian"
-                elif s == _RUNNING:
-                    reasons[i] = f"{names[i]} did not converge in {MAX_ITER} iterations"
         finite = np.isfinite(x).all(axis=1)
         ar_ok = _roots_ok(-x[:, :MAX_ORDER])
         ma_ok = _roots_ok(x[:, _MA])
-    for i, name in enumerate(names):
-        if reasons[i] is not None:
+    for i, cell in enumerate(cells):
+        if results[i] is not None:
             continue
         if not finite[i]:
-            reasons[i] = f"non-finite parameters for {name}"
+            results[i] = f"non-finite parameters for {_cell_name(cell)}"
         elif not ar_ok[i]:
-            reasons[i] = f"{name} violates the AR stationarity margin"
+            results[i] = f"{_cell_name(cell)} violates the AR stationarity margin"
         elif not ma_ok[i]:
-            reasons[i] = f"{name} violates the MA invertibility margin"
-        elif cells[i][3] and cells[i][2] == 0:
+            results[i] = f"{_cell_name(cell)} violates the MA invertibility margin"
+        elif cell[3] and cell[2] == 0:
             # the margin excludes a unit root
             x[i, _DRIFT] /= 1.0 - x[i, :MAX_ORDER].sum()
 
-    live = np.array([r is None for r in reasons])
+    live = np.array([r is None for r in results])
     if live.any():
         e = _css_batch(w[live], x[live], real[live])[0][:, MAX_D:]
-    results = list(reasons)
     for j, i in enumerate(np.flatnonzero(live)):
         p, d, q, drift = cells[i]
         sse = float(e[j] @ e[j])
         if not math.isfinite(sse):
-            results[i] = f"non-finite residuals for {names[i]}"
+            results[i] = f"non-finite residuals for {_cell_name(cells[i])}"
             continue
         k = p + q + 1 + (1 if drift else 0)
         sigma2 = max(sse / n_eff, 1e-300)
@@ -409,6 +438,43 @@ def _fit_cells(series: np.ndarray, cells, mode: str) -> list:
             mode=mode,
         )
     return results
+
+
+def _fit_cells_many(series_list, cell_lists, modes) -> list:
+    """CSS fits of each series' (p, d, q, include_drift) cells; the series share one length.
+
+    Returns, per series and per cell, its ArimaSpec or the message of why
+    it was rejected.  The cells with an MA part, of every series, go on from
+    their start values (``_start_cells``) together by Levenberg-Marquardt:
+    one batch whose cells are each series' in turn.
+    """
+    starts = [_start_cells(series, cells) for series, cells in zip(series_list, cell_lists)]
+    ma = [np.array([r is None and cell[2] > 0 for r, cell in zip(reasons, cells)], bool)
+          for (reasons, *_), cells in zip(starts, cell_lists)]
+    if any(m.any() for m in ma):
+        w, real, free, x = (np.concatenate([start[k][m] for start, m in zip(starts, ma)])
+                            for k in (1, 2, 3, 4))
+        # trial steps may leave the invertible region, where residuals overflow
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            x, state = _levenberg_marquardt(w, x, free, real)
+        at = 0
+        for (reasons, *_, x_cells), m, cells in zip(starts, ma, cell_lists):
+            rows = np.flatnonzero(m)
+            x_cells[rows] = x[at : at + rows.size]
+            for i, s in zip(rows, state[at : at + rows.size]):
+                if s == _SINGULAR:
+                    reasons[i] = f"{_cell_name(cells[i])} has a singular Jacobian"
+                elif s == _RUNNING:
+                    reasons[i] = f"{_cell_name(cells[i])} did not converge in {MAX_ITER} iterations"
+            at += rows.size
+    return [_finish_cells(series, cells, mode, reasons, w, real, x)
+            for series, cells, mode, (reasons, w, real, _, x)
+            in zip(series_list, cell_lists, modes, starts)]
+
+
+def _fit_cells(series: np.ndarray, cells, mode: str) -> list:
+    """CSS fits of the (p, d, q, include_drift) ``cells`` on one ``series``."""
+    return _fit_cells_many([series], [cells], [mode])[0]
 
 
 def _validate_series(series) -> np.ndarray:
@@ -478,24 +544,45 @@ def fit_auto(series, mode: str = "nonstationary") -> ArimaSpec:
 
     Nonstationary mode searches d in {0, 1, 2} with drift offered for
     d <= 1; stationary mode fixes d = 0.  All cells are fitted in one batch
-    (``_fit_cells``).  Cells whose fit does not converge or whose roots land
+    (``_fit_cells_many``).  Cells whose fit does not converge or whose roots land
     on or inside the margin are skipped, and the first cell in grid order
     wins a BIC tie; if every cell fails the fallback model is returned with
-    ``fallback=True``.
+    ``fallback=True``.  This is ``fit_auto_many`` of one series.
     """
-    series = _validate_series(series)
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}")
-    if series.size < MIN_OBS:
-        raise SeriesTooShort(f"need at least {MIN_OBS} observations, got {series.size}")
+    (spec,) = fit_auto_many([series], [mode])
+    return spec
 
-    best = None
-    for spec in _fit_cells(series, _grid(mode), mode):
-        if isinstance(spec, ArimaSpec) and (best is None or spec.bic < best.bic):
-            best = spec
-    if best is None:
-        return _fallback_spec(series, mode)
-    return best
+
+def fit_auto_many(series_list, modes) -> list[ArimaSpec]:
+    """``fit_auto(series, mode)`` of every series and its mode, in one order search.
+
+    Every series is validated, as ``fit_auto`` does, before any is fitted,
+    and all must have the same length.  The MA cells of every series run in
+    one Levenberg-Marquardt batch (``_fit_cells_many``); each series keeps
+    its own minimum-BIC cell or fallback, as it would alone.
+    """
+    series_list = [_validate_series(series) for series in series_list]
+    modes = list(modes)
+    if len(modes) != len(series_list):
+        raise ValueError(f"got {len(series_list)} series but {len(modes)} modes")
+    for mode in modes:
+        if mode not in MODES:
+            raise ValueError(f"mode must be one of {MODES}")
+    for series in series_list:
+        if series.size < MIN_OBS:
+            raise SeriesTooShort(f"need at least {MIN_OBS} observations, got {series.size}")
+    if len({series.size for series in series_list}) > 1:
+        raise ValueError("series must all have the same length")
+
+    specs = []
+    fits = _fit_cells_many(series_list, [_grid(mode) for mode in modes], modes)
+    for series, mode, cells in zip(series_list, modes, fits):
+        best = None
+        for spec in cells:
+            if isinstance(spec, ArimaSpec) and (best is None or spec.bic < best.bic):
+                best = spec
+        specs.append(_fallback_spec(series, mode) if best is None else best)
+    return specs
 
 
 def psi_weights(spec: ArimaSpec, n_weights: int) -> np.ndarray:

@@ -140,6 +140,19 @@ def test_ingest_infinite_rate_fails_with_one_error_line(tmp_path, capsys):
     assert not any(out.glob("*.csv"))
 
 
+def test_ingest_non_utf8_input_fails_with_one_error_line(tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"title\nYear Age Female Male Total\n2000 0 0.1 0.1 0.1\xff\n")
+    out = tmp_path / "out"
+    rc = main(["ingest", "--data", str(bad), "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err.strip()
+    assert ERROR_RE.match(err), err
+    assert err.startswith("error module=hmd type=MalformedRow ")
+    assert f'msg="{bad}:3: byte 0xff is not UTF-8"' in err
+    assert not any(out.glob("*.csv"))
+
+
 # -- smooth ------------------------------------------------------------------
 
 
@@ -471,6 +484,18 @@ def test_missing_config_file_is_a_config_error(tmp_path, capsys):
                "--data", str(tmp_path), "--out", str(tmp_path / "out")])
     assert rc == 1
     assert_error_line(capsys, "cli", "ConfigError")
+
+
+def test_non_utf8_config_file_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"h = 3\n# caf\xe9\n")
+    rc = main(["smooth", "--config", str(cfg), "--data", str(tmp_path),
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err.strip()
+    assert ERROR_RE.match(err), err
+    assert err.startswith("error module=cli type=ConfigError ")
+    assert f'msg="{cfg}:2: byte 0xe9 is not UTF-8"' in err
 
 
 def test_environment_variable_supplies_data_dir(tmp_path, obs_dir, monkeypatch):

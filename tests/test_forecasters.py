@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+from mortfpca import forecasters
 from mortfpca.components import FULL_RANK, ComponentRule
 from mortfpca.errors import AlphaOutOfRange, EmptyBundle
 from mortfpca.forecasters import (
@@ -16,6 +17,7 @@ from mortfpca.forecasters import (
     predict_interval,
 )
 from mortfpca.smoothing import ResidualField
+from mortfpca.tsmodels import fit_auto, forecast
 from mortfpca.ufpca import geometric_weights
 
 RULE = ComponentRule(threshold=0.9)
@@ -54,6 +56,28 @@ def test_fit_model_dispatch(results, small_truth):
     np.testing.assert_allclose(
         results["wmfpca"].weights.weights, geometric_weights(0.5, 18).weights
     )
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_one_order_search_per_model_fit(model, small_truth, monkeypatch):
+    searches = []
+    fit_auto_many = forecasters.fit_auto_many
+
+    def spy(series_list, modes):
+        searches.append(list(modes))
+        return fit_auto_many(series_list, modes)
+
+    monkeypatch.setattr(forecasters, "fit_auto_many", spy)
+    result = fit_model(small_truth, model, h=3, kappa=0.5, rule=RULE)
+    # every score column of every block, in block then column order
+    assert searches == [[b.mode for b in result.blocks for _ in range(b.fit.scores.shape[1])]]
+    for block in result.blocks:
+        assert len(block.forecasts) == block.fit.scores.shape[1]
+        for series, got in zip(block.fit.scores.T, block.forecasts):
+            alone = forecast(fit_auto(series, block.mode), series, 3)
+            np.testing.assert_array_equal(got.mean, alone.mean)
+            np.testing.assert_array_equal(got.variance, alone.variance)
+            assert got.spec.order == alone.spec.order
 
 
 def test_fit_model_validation(small_truth):

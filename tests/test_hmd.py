@@ -129,6 +129,19 @@ def test_malformed_rows_rejected(rows):
         parse_hmd_rates(hmd_text(rows))
 
 
+@pytest.mark.parametrize("row, reason", [
+    ("2000  1  0.003  0.004", "expected 5 fields, found 4"),
+    ("2000  1x  0.003  0.004  0.0035", "bad age '1x'"),
+])
+@pytest.mark.parametrize("line_end", ["\n", "\r\n"])
+def test_parse_errors_name_the_file_line(row, reason, line_end):
+    # title, header, a blank line and a good row come first: the bad row is line 5
+    text = hmd_text(["", BASIC_ROWS[0], row] + BASIC_ROWS[2:]).replace("\n", line_end)
+    with pytest.raises(MalformedRow) as info:
+        parse_hmd_rates(text)
+    assert str(info.value) == f"line 5: {reason}: {row!r}"
+
+
 def test_wrong_column_header_rejected():
     with pytest.raises(MalformedRow):
         parse_hmd_rates(hmd_text(BASIC_ROWS, header="Year Age Male Female Total"))
@@ -269,6 +282,25 @@ def test_surface_csv_schema_violations(tmp_path, body):
     path.write_text("\n".join(matrix_body) + "\n" if body else "")
     with pytest.raises(SchemaMismatch):
         read_matrix_csv(path, "sigma")
+
+
+@pytest.mark.parametrize("row, reason", [
+    ("2000,1", "expected 3 fields, found 2"),
+    ("2000,x,-2.0", "bad age 'x'"),
+    ("2000,,-2.0", "bad age ''"),
+    ("2000,1,abc", "bad {column} 'abc'"),
+])
+def test_csv_parse_errors_name_the_file_line(tmp_path, row, reason):
+    path = tmp_path / "pop.csv"
+    path.write_text(f"# population_id=pop kind=observed\n{CSV_HEADER}\n2000,0,-1.0\n\n{row}\n")
+    with pytest.raises(SchemaMismatch) as info:
+        read_surface_csv(path)
+    assert str(info.value) == f"{path}: line 5: {reason.format(column='log_rate')}: {row!r}"
+
+    path.write_text(f"year,age,sigma\n2000,0,1.0\n{row}\n")
+    with pytest.raises(SchemaMismatch) as info:
+        read_matrix_csv(path, "sigma")
+    assert str(info.value) == f"{path}: line 3: {reason.format(column='sigma')}: {row!r}"
 
 
 def test_non_ascii_csv_is_a_schema_mismatch(tmp_path):

@@ -1,5 +1,6 @@
 """ARIMA fitting, psi weights and forecast paths against closed forms."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.linalg.lapack import dposv
 from scipy.signal import lfilter
 
+from mortfpca import tsmodels
 from mortfpca.errors import NonFiniteInput, OptimFailed, SeriesTooShort
 from mortfpca.tsmodels import (
     MAX_D,
@@ -32,6 +34,7 @@ from mortfpca.tsmodels import (
     _levenberg_marquardt,
     _roots_ok,
     fit_auto,
+    fit_auto_many,
     fit_spec,
     forecast,
     psi_weights,
@@ -45,6 +48,13 @@ def make_spec(p=0, d=0, q=0, ar=(), ma=(), drift=0.0, include_drift=False, var=1
         ar=np.asarray(ar, float), ma=np.asarray(ma, float),
         drift=drift, innovation_var=var, loglik=0.0, aic=0.0, bic=0.0,
     )
+
+
+def assert_same_spec(a, b):
+    """Every field of two ArimaSpecs equal, arrays element by element."""
+    for field in dataclasses.fields(ArimaSpec):
+        np.testing.assert_array_equal(getattr(a, field.name), getattr(b, field.name),
+                                      err_msg=field.name)
 
 
 def ar1_series(phi, c, sigma, t, seed):
@@ -224,22 +234,55 @@ def test_css_jacobian_matches_finite_differences():
         np.testing.assert_allclose(jac[np.flatnonzero(free[i]), i, d:], ref_jac.T, rtol=1e-12, atol=1e-12)
 
 
-def test_overflowing_cell_does_not_leak_into_other_cells():
+def test_overflowing_cell_does_not_leak_into_other_cells(monkeypatch):
     series = np.cumsum(arma_series([0.5], [0.4], 0.2, 60, seed=7))
     cells = [(1, 0, 1, True), (2, 1, 2, False), (0, 1, 1, True), (1, 2, 2, False)]
     w, real, free = _layout(series, cells)
     x = np.where(free, 0.3, 0.0)
-    x[1, 2] = 1e200  # theta_1 of cell 1 overflows its MA recursion
+    x[1, 2] = x[2, 2] = 1e200  # theta_1 of cells 1 and 2 overflows their MA recursions
+    solves = []
+    band_solve = tsmodels._band_solve
+
+    def counting(theta, rhs):
+        solves.append(len(theta))
+        return band_solve(theta, rhs)
+
+    monkeypatch.setattr(tsmodels, "_band_solve", counting)
     with np.errstate(over="ignore", invalid="ignore"):
         e, z = _css_batch(w, x, real)
+        # the whole batch, then the cells after each of the two non-finite ones
+        assert solves == [4, 2, 1]
         jac = _css_jacobian(z, x, e, free, real)
-        assert not np.isfinite(e[1]).all()
-        for i in (0, 2, 3):
+        assert not np.isfinite(e[1]).all() and not np.isfinite(e[2]).all()
+        for i in range(len(cells)):
             one = slice(i, i + 1)
             e_alone, z_alone = _css_batch(w[one], x[one], real[one])
             np.testing.assert_array_equal(e[i], e_alone[0])
             np.testing.assert_array_equal(
                 jac[:, i], _css_jacobian(z_alone, x[one], e_alone, free[one], real[one])[:, 0])
+
+
+def test_overflowing_series_does_not_leak_into_other_series(monkeypatch):
+    # scaled by 1e152, a random walk's MA cells overflow on trial steps while
+    # cells of the series after it are still in the batch
+    walk = np.cumsum(arma_series([0.5], [0.4], 0.2, 60, seed=7))
+    series = [walk * 1e152, walk, arma_series([0.6], [0.3], 1.0, 60, seed=21)]
+    modes = ["nonstationary", "nonstationary", "stationary"]
+    overflows = []
+    band_solve = tsmodels._band_solve
+
+    def spy(theta, rhs):
+        y = band_solve(theta, rhs)
+        overflows.append(not np.isfinite(y).all())
+        return y
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        alone = [fit_auto(s, m) for s, m in zip(series, modes)]
+        monkeypatch.setattr(tsmodels, "_band_solve", spy)
+        together = fit_auto_many(series, modes)
+    assert any(overflows)
+    for a, b in zip(together, alone):
+        assert_same_spec(a, b)
 
 
 def test_singular_cell_is_rejected_alone():
@@ -476,6 +519,48 @@ def test_auto_validation():
         fit_auto(np.arange(30, dtype=float), mode="levels")
     with pytest.raises(NonFiniteInput):
         fit_auto(np.array([np.inf] + [0.0] * 29))
+
+
+def test_fit_auto_many_equals_fit_auto_per_series():
+    walk = np.cumsum(arma_series([0.4], [0.5], 0.3, 40, seed=51))
+    spike = np.zeros(40)  # no MA cell of the stationary search is accepted
+    spike[-2:] = (1.0, 2.0)
+    huge = walk * 1e154  # every cell's CSS overflows, so the search falls back
+    series = [walk, arma_series([0.5], [-0.3], 2.0, 40, seed=52), walk, spike, huge,
+              arma_series([], [0.6], 0.0, 40, seed=53)]
+    modes = ["nonstationary", "stationary", "stationary", "stationary", "nonstationary",
+             "nonstationary"]
+    with np.errstate(over="ignore", invalid="ignore"):
+        spike_cells = _fit_cells(spike, _grid("stationary"), "stationary")
+        assert not any(isinstance(r, ArimaSpec) and r.q for r in spike_cells)
+        alone = [fit_auto(s, m) for s, m in zip(series, modes)]
+        together = fit_auto_many(series, modes)
+    assert [spec.fallback for spec in alone] == [False, False, False, False, True, False]
+    assert any(spec.q for spec in alone)
+    for a, b in zip(together, alone):
+        assert_same_spec(a, b)
+    assert fit_auto_many([], []) == []
+
+
+def test_fit_auto_many_validation():
+    ok = np.arange(30, dtype=float)
+    bad_inputs = [
+        (np.arange(MIN_OBS - 1, dtype=float), SeriesTooShort),
+        (np.array([np.inf] + [0.0] * 29), NonFiniteInput),
+        (np.zeros((2, 15)), ValueError),
+    ]
+    for bad, error in bad_inputs:
+        with pytest.raises(error) as solo:
+            fit_auto(bad)
+        with pytest.raises(error) as many:
+            fit_auto_many([ok, bad], ["nonstationary", "stationary"])
+        assert str(many.value) == str(solo.value)
+    with pytest.raises(ValueError, match="same length"):
+        fit_auto_many([ok, ok[1:]], ["nonstationary", "nonstationary"])
+    with pytest.raises(ValueError, match="mode"):
+        fit_auto_many([ok, ok], ["nonstationary", "levels"])
+    with pytest.raises(ValueError, match="2 series but 1 modes"):
+        fit_auto_many([ok, ok], ["nonstationary"])
 
 
 # ---------------------------------------------------------------------------
