@@ -14,7 +14,9 @@ Data directories hold one ``<population_id>.csv`` per population (schema
 ``year,age,log_rate``, kind tag in a leading comment) plus, after
 ``smooth``, one ``<population_id>.sigma.csv`` with the absolute smoothing
 residuals.  Commands that need smoothed input accept an observed directory
-and smooth it on the fly with default settings.
+and smooth it on the fly with default settings.  ``smooth`` and
+``evaluate`` need observed input, and no command reads a directory that
+mixes the two kinds.
 """
 
 from __future__ import annotations
@@ -30,9 +32,10 @@ from .components import ComponentRule
 from .demographics import life_expectancy, sex_ratio
 from .errors import ConfigError, MalformedRow, MortfpcaError, SchemaMismatch
 from .evaluation import rolling_rmse, smooth_bundle, tune_kappa
-from .forecasters import MODELS, fit_model, predict_interval
+from .forecasters import MODELS, WEIGHTED_MODELS, fit_model, predict_interval
 from .hmd import (
     SurfaceBundle,
+    _write_grid,
     impute_missing,
     parse_hmd_rates,
     read_matrix_csv,
@@ -46,7 +49,6 @@ from .store import (
     save_forecast_surface,
     save_fpca_fit,
     save_mfpca_fit,
-    write_lines,
 )
 from .svgplot import line_chart
 
@@ -158,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--ncomp", type=int, help="fixed component count override")
     common.add_argument("--alpha", type=float, help="two-sided interval miss probability")
     common.add_argument("--windows", type=int, help="rolling evaluation window count")
-    common.add_argument("--seed", type=int, help="recorded for reproducibility")
+    common.add_argument("--seed", type=int, help="accepted and ignored: no step is random")
     common.add_argument("--plot", action="store_const", const=True, default=None,
                         help="also write SVG charts")
     common.add_argument("--weight-power", type=float, dest="weight_power",
@@ -252,21 +254,30 @@ def _load_surface_dir(path):
         else:
             residuals.append(None)
         surfaces.append(surface)
+    if len({s.kind for s in surfaces}) > 1:
+        raise ConfigError(f"{path} mixes observed and smoothed surfaces")
     bundle = SurfaceBundle(surfaces)
     if any(r is None for r in residuals):
         residuals = None
     return bundle, residuals
 
 
+def _observed_surfaces(cfg: RunConfig):
+    """The imputed surfaces of a directory of observed ones."""
+    bundle, _ = _load_surface_dir(cfg.data)
+    if bundle[0].kind != "observed":
+        raise ConfigError(f"{cfg.command} needs observed surfaces; {cfg.data} holds smoothed ones")
+    return [impute_missing(s) for s in bundle]
+
+
 def _prepared_bundle(cfg: RunConfig):
     """A smoothed bundle plus residual fields, smoothing on the fly if needed."""
     bundle, residuals = _load_surface_dir(cfg.data)
-    kinds = {s.kind for s in bundle}
-    if kinds == {"smoothed"} and residuals is not None:
-        return bundle, residuals
-    if kinds == {"smoothed"}:
+    if bundle[0].kind == "observed":
+        return smooth_bundle([impute_missing(s) for s in bundle], SmoothConfig())
+    if residuals is None:
         raise ConfigError(f"{cfg.data} holds smoothed surfaces but no .sigma.csv files")
-    return smooth_bundle([impute_missing(s) for s in bundle], SmoothConfig())
+    return bundle, residuals
 
 
 def _resolve_kappa(cfg: RunConfig, bundle, holdout: bool = False) -> float | None:
@@ -275,7 +286,7 @@ def _resolve_kappa(cfg: RunConfig, bundle, holdout: bool = False) -> float | Non
     With ``holdout`` the tuning never sees the final ``windows`` years, so
     an evaluation on those targets stays out of sample.
     """
-    if cfg.model in ("independent", "product_ratio"):
+    if cfg.model not in WEIGHTED_MODELS:
         return None
     if cfg.kappa is None:
         raise ConfigError(
@@ -319,8 +330,7 @@ def cmd_ingest(cfg: RunConfig) -> int:
 
 def cmd_smooth(cfg: RunConfig) -> int:
     out = _require_out(cfg)
-    bundle, _ = _load_surface_dir(cfg.data)
-    smoothed, fields_ = smooth_bundle([impute_missing(s) for s in bundle], SmoothConfig())
+    smoothed, fields_ = smooth_bundle(_observed_surfaces(cfg), SmoothConfig())
     for surface, field in zip(smoothed, fields_):
         write_surface_csv(surface, os.path.join(out, f"{surface.population_id}.csv"))
         write_matrix_csv(
@@ -380,8 +390,7 @@ def cmd_forecast(cfg: RunConfig) -> int:
 
 def cmd_evaluate(cfg: RunConfig) -> int:
     out = _require_out(cfg)
-    bundle, _ = _load_surface_dir(cfg.data)
-    imputed = SurfaceBundle([impute_missing(s) for s in bundle])
+    imputed = SurfaceBundle(_observed_surfaces(cfg))
     kappa = _resolve_kappa(cfg, imputed, holdout=True)
     report = rolling_rmse(
         imputed, cfg.model, cfg.h, windows=cfg.windows, kappa=kappa,
@@ -438,10 +447,8 @@ def cmd_diagnose(cfg: RunConfig) -> int:
     female_all = np.vstack([female_hist, female_fc])
     e0_male = [life_expectancy(row).e0 for row in male_all]
     e0_female = [life_expectancy(row).e0 for row in female_all]
-    lines = ["year,e0_male,e0_female"]
-    for year, em, ef in zip(years, e0_male, e0_female):
-        lines.append(f"{year},{em!r},{ef!r}")
-    write_lines(os.path.join(out, "e0.csv"), lines)
+    _write_grid(os.path.join(out, "e0.csv"), ["year,e0_male,e0_female"], None, years,
+                [e0_male, e0_female], "%r")
     print(f"e0 {years[0]}: male {e0_male[0]:.2f}, female {e0_female[0]:.2f}")
     print(f"e0 {years[-1]}: male {e0_male[-1]:.2f}, female {e0_female[-1]:.2f}")
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .components import ComponentRule
 from .errors import InsufficientSpan, KappaOutOfRange
-from .forecasters import MODELS, fit_model, predict_interval
+from .forecasters import MODELS, WEIGHTED_MODELS, fit_model, predict_interval
 from .hmd import SurfaceBundle
 from .smoothing import SmoothConfig, smooth_surface
 from .tsmodels import MIN_OBS
@@ -138,7 +138,10 @@ def tune_kappa(
 
     Exhaustive search; ties resolve to the smallest kappa.  The bundle is
     smoothed once, and every kappa is scored on that smoothed bundle.
+    ``model`` must be one of ``WEIGHTED_MODELS``: the others ignore kappa.
     """
+    if model not in WEIGHTED_MODELS:
+        raise ValueError(f"only {WEIGHTED_MODELS} weight years by kappa, not {model!r}")
     grid = DEFAULT_KAPPA_GRID if grid is None else np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise KappaOutOfRange("empty kappa grid")

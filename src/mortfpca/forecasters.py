@@ -20,9 +20,14 @@ chosen ARIMA, and recombine.
     population's log ratio to it (stationary).  The classical coherent
     baseline.
 
-Each variant returns a :class:`ModelResult` whose :class:`Block` list spells
-out that shape: a population's forecast is the sum, over the blocks covering
-it, of a mean curve plus score forecasts times loadings.
+:func:`fit_model` is the one path through that pipeline: it checks the
+horizon, builds the year weights, builds the named variant's blocks and
+runs one order search over all their score series.  Only the
+``WEIGHTED_MODELS`` read ``kappa`` and ``weight_power``.  ``fit_independent``
+and its siblings are one-line calls into it.  The result is a
+:class:`ModelResult` whose :class:`Block` list spells out the variant's
+shape: a population's forecast is the sum, over the blocks covering it, of
+a mean curve plus score forecasts times loadings.
 
 Prediction intervals combine three variance pieces per age: the variance of
 the estimated weighted mean, the score forecast variances mapped through
@@ -50,9 +55,6 @@ from .ufpca import (
     geometric_weights,
     uniform_weights,
 )
-
-MODELS = ("independent", "wmfpca", "coherent", "product_ratio")
-
 
 @dataclass(eq=False)
 class ForecastSurface:
@@ -109,30 +111,70 @@ class ModelResult:
     blocks: list
 
 
-def _bundle_parts(bundle):
+def _independent(ids, curves, weights, rule, power):
+    return [Block(pid, [i], fit_ufpca(c, weights, rule, power), "nonstationary")
+            for i, (pid, c) in enumerate(zip(ids, curves))]
+
+
+def _wmfpca(ids, curves, weights, rule, power):
+    return [Block("", list(range(len(ids))), fit_mfpca(curves, weights, rule, power),
+                  "nonstationary")]
+
+
+def _coherent(ids, curves, weights, rule, power):
+    everyone = list(range(len(ids)))
+    common_fit = fit_ufpca(np.mean(curves, axis=0), weights, rule, power)
+    trend = common_fit.reconstruct()
+    deviation_fit = fit_mfpca([c - trend for c in curves], weights, rule, power)
+    return [Block("common", everyone, common_fit, "nonstationary"),
+            Block("deviations", everyone, deviation_fit, "stationary")]
+
+
+def _product_ratio(ids, curves, weights, rule, power):
+    average = np.mean(curves, axis=0)
+    product = fit_ufpca(average, weights, rule, power)
+    ratios = [fit_ufpca(c - average, weights, rule, power) for c in curves]
+    return [Block("product", list(range(len(ids))), product, "nonstationary")] + [
+        Block(f"ratio_{pid}", [i], ratio, "stationary")
+        for i, (pid, ratio) in enumerate(zip(ids, ratios))
+    ]
+
+
+#: the blocks of each model: (ids, curves, weights, rule, weight_power) -> list of Block
+_BLOCKS = {"independent": _independent, "wmfpca": _wmfpca, "coherent": _coherent,
+           "product_ratio": _product_ratio}
+MODELS = tuple(_BLOCKS)
+#: the models whose decompositions read ``kappa`` and ``weight_power``
+WEIGHTED_MODELS = ("wmfpca", "coherent")
+
+
+def fit_model(bundle, model: str, h: int = 20, kappa: float | None = None,
+              rule: ComponentRule | None = None, weight_power: float = 1.0) -> ModelResult:
+    """Fit one of the four model variants by name.
+
+    Only the ``WEIGHTED_MODELS`` read ``kappa``, the geometric decay rate
+    of the year weights (``None`` gives uniform weights), and
+    ``weight_power``; the others weight years uniformly at power 1.0
+    whatever is passed.  The order search then runs once for every score
+    column of every block (``fit_auto_many``), and the forecasts follow in
+    block and column order.
+    """
+    if model not in MODELS:
+        raise ValueError(f"unknown model {model!r}; choose from {MODELS}")
+    if h < 1:
+        raise ValueError(f"horizon must be >= 1, got {h}")
     curves = _extract_curves(bundle)
     if not curves:
         raise EmptyBundle("no populations to fit")
+    n_years = curves[0].shape[0]
     if hasattr(bundle, "population_ids"):
-        ids = list(bundle.population_ids)
-        years = np.asarray(bundle.years)
+        ids, years = list(bundle.population_ids), np.asarray(bundle.years)
     else:
-        ids = [f"pop{i}" for i in range(len(curves))]
-        years = np.arange(curves[0].shape[0])
-    return curves, ids, years
-
-
-def _check_horizon(h: int):
-    if h < 1:
-        raise ValueError(f"horizon must be >= 1, got {h}")
-
-
-def _forecast_blocks(ids, years, h: int, weights: WeightScheme, blocks) -> ModelResult:
-    """The model of ``blocks``, each score series forecast by an automatic ARIMA.
-
-    The order search runs once for every score column of every block
-    (``fit_auto_many``); the forecasts follow in block and column order.
-    """
+        ids, years = [f"pop{i}" for i in range(len(curves))], np.arange(n_years)
+    if model not in WEIGHTED_MODELS:
+        kappa, weight_power = None, 1.0
+    weights = geometric_weights(kappa, n_years) if kappa is not None else uniform_weights(n_years)
+    blocks = _BLOCKS[model](ids, curves, weights, rule, weight_power)
     columns = [(series, block.mode) for block in blocks for series in block.fit.scores.T]
     specs = iter(fit_auto_many([series for series, _ in columns], [mode for _, mode in columns]))
     for block in blocks:
@@ -140,20 +182,9 @@ def _forecast_blocks(ids, years, h: int, weights: WeightScheme, blocks) -> Model
     return ModelResult(ids, years, h, weights, blocks)
 
 
-def _year_weights(kappa: float | None, n_years: int) -> WeightScheme:
-    return geometric_weights(kappa, n_years) if kappa is not None else uniform_weights(n_years)
-
-
 def fit_independent(bundle, rule: ComponentRule | None = None, h: int = 20) -> ModelResult:
     """Unweighted per-population FPCA with nonstationary score models."""
-    _check_horizon(h)
-    curves, ids, years = _bundle_parts(bundle)
-    weights = uniform_weights(curves[0].shape[0])
-    blocks = [
-        Block(pid, [i], fit_ufpca(c, weights, rule), "nonstationary")
-        for i, (pid, c) in enumerate(zip(ids, curves))
-    ]
-    return _forecast_blocks(ids, years, h, weights, blocks)
+    return fit_model(bundle, "independent", h, rule=rule)
 
 
 def fit_wmfpca(bundle, kappa: float | None, rule: ComponentRule | None = None,
@@ -163,12 +194,7 @@ def fit_wmfpca(bundle, kappa: float | None, rule: ComponentRule | None = None,
     ``kappa`` is the geometric decay rate of the year weights; ``None``
     falls back to uniform weights.
     """
-    _check_horizon(h)
-    curves, ids, years = _bundle_parts(bundle)
-    weights = _year_weights(kappa, curves[0].shape[0])
-    fit = fit_mfpca(curves, weights, rule, weight_power)
-    block = Block("", list(range(len(ids))), fit, "nonstationary")
-    return _forecast_blocks(ids, years, h, weights, [block])
+    return fit_model(bundle, "wmfpca", h, kappa, rule, weight_power)
 
 
 def fit_coherent(bundle, kappa: float | None, rule: ComponentRule | None = None,
@@ -179,19 +205,7 @@ def fit_coherent(bundle, kappa: float | None, rule: ComponentRule | None = None,
     scores are constrained to stationary models, so any two populations'
     forecast gap converges as the horizon grows.
     """
-    _check_horizon(h)
-    curves, ids, years = _bundle_parts(bundle)
-    weights = _year_weights(kappa, curves[0].shape[0])
-    everyone = list(range(len(ids)))
-
-    common_fit = fit_ufpca(np.mean(curves, axis=0), weights, rule, weight_power)
-    trend = common_fit.reconstruct()
-    deviation_fit = fit_mfpca([c - trend for c in curves], weights, rule, weight_power)
-    blocks = [
-        Block("common", everyone, common_fit, "nonstationary"),
-        Block("deviations", everyone, deviation_fit, "stationary"),
-    ]
-    return _forecast_blocks(ids, years, h, weights, blocks)
+    return fit_model(bundle, "coherent", h, kappa, rule, weight_power)
 
 
 def fit_product_ratio(bundle, rule: ComponentRule | None = None, h: int = 20) -> ModelResult:
@@ -202,31 +216,7 @@ def fit_product_ratio(bundle, rule: ComponentRule | None = None, h: int = 20) ->
     sum reproduces the population exactly.  Ratio scores use stationary
     models.
     """
-    _check_horizon(h)
-    curves, ids, years = _bundle_parts(bundle)
-    weights = uniform_weights(curves[0].shape[0])
-    average_curve = np.mean(curves, axis=0)
-    blocks = [Block("product", list(range(len(ids))),
-                    fit_ufpca(average_curve, weights, rule), "nonstationary")]
-    blocks += [
-        Block(f"ratio_{pid}", [i], fit_ufpca(c - average_curve, weights, rule), "stationary")
-        for i, (pid, c) in enumerate(zip(ids, curves))
-    ]
-    return _forecast_blocks(ids, years, h, weights, blocks)
-
-
-def fit_model(bundle, model: str, h: int = 20, kappa: float | None = None,
-              rule: ComponentRule | None = None, weight_power: float = 1.0) -> ModelResult:
-    """Dispatch to one of the four model variants by name."""
-    if model == "independent":
-        return fit_independent(bundle, rule, h)
-    if model == "wmfpca":
-        return fit_wmfpca(bundle, kappa, rule, h, weight_power)
-    if model == "coherent":
-        return fit_coherent(bundle, kappa, rule, h, weight_power)
-    if model == "product_ratio":
-        return fit_product_ratio(bundle, rule, h)
-    raise ValueError(f"unknown model {model!r}; choose from {MODELS}")
+    return fit_model(bundle, "product_ratio", h, rule=rule)
 
 
 # ---------------------------------------------------------------------------

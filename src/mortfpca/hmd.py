@@ -14,7 +14,9 @@ row with one ``np.loadtxt`` call; one ``np.bincount`` over the flat
 ``math.log``, not ``np.log``, whose result differs in the last bit on some
 rates: the surfaces written must not change with the parser.  The CSV
 reader parses the rows after the header with one ``np.loadtxt`` call, and
-the writer formats one year of rows at a time from a row template.  When a
+the writer formats one year of rows at a time from a row template.  That
+writer is the package's one numeric-table writer: with no year label it
+also writes the fit files of :mod:`mortfpca.store` and ``e0.csv``.  When a
 parse fails, both readers look for the first bad row again and name it by
 its line number in the file.
 """
@@ -333,33 +335,37 @@ _GRID_DTYPE = [("year", "i8"), ("age", "i8"), ("value", "f8")]
 _SEPARATOR_CONTROLS = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
 
-def _write_grid(path, head, years, ages, grids, cell_format: str = "%.17g") -> None:
-    """Write ``head`` lines, then one ``year,age,value,...`` row per grid cell.
+def _write_grid(path, head, block_labels, row_labels, columns,
+                cell_format: str = "%.17g") -> None:
+    """Write ``head`` lines, then one ``block,row,value,...`` line per (block, row).
 
-    ``grids`` holds one year-by-age array per value column, each value
-    written with ``cell_format``: ``%.17g`` carries enough digits to
-    round-trip any double, and ``%r`` is the shortest text that does.  The
-    rows of one year are one ``%`` format of a row template built once per
-    call, with the ages written into it, and one write; the whole grid never
-    exists as text.
+    A surface's blocks are its years and its rows its ages; with
+    ``block_labels=None`` there is one block and its lines start at the row
+    label.  ``columns`` holds one array of values per column, one row per
+    block (a 1-d array is one block), written with ``cell_format``:
+    ``%.17g`` carries enough digits to round-trip any double, and ``%r`` is
+    the shortest text that does.  A block's lines are one ``%`` format of a
+    template built once per call and one write; the table never exists as text.
     """
-    years, ages = np.asarray(years).tolist(), np.asarray(ages).tolist()
-    grids = [np.asarray(g, dtype=float) for g in grids]
-    for g in grids:
-        if g.shape != (len(years), len(ages)):
-            raise ValueError(f"values shape {g.shape} does not match "
-                             f"{len(years)} years x {len(ages)} ages")
-    width = 1 + len(grids)
-    values_format = ",".join([cell_format] * len(grids))
-    row_format = "".join(f"%d,{age},{values_format}\n" for age in ages)
-    cells = [None] * (width * len(ages))
+    prefixes = [""] if block_labels is None else [
+        "%d," % label for label in np.asarray(block_labels).tolist()]
+    row_labels = np.asarray(row_labels).tolist()
+    columns = [np.atleast_2d(np.asarray(c, dtype=float)) for c in columns]
+    for c in columns:
+        if c.shape != (len(prefixes), len(row_labels)):
+            raise ValueError(f"values shape {c.shape} does not match "
+                             f"{len(prefixes)} blocks x {len(row_labels)} rows")
+    width = 1 + len(columns)
+    values_format = ",".join([cell_format] * len(columns))
+    row_format = "".join(f"%s{label},{values_format}\n" for label in row_labels)
+    cells = [None] * (width * len(row_labels))
     try:
         with open(path, "w", encoding="ascii") as fh:
             fh.write("\n".join(head) + "\n")
-            for t, year in enumerate(years):
-                cells[0::width] = [year] * len(ages)
-                for k, grid in enumerate(grids, 1):
-                    cells[k::width] = grid[t].tolist()
+            for t, prefix in enumerate(prefixes):
+                cells[0::width] = [prefix] * len(row_labels)
+                for k, column in enumerate(columns, 1):
+                    cells[k::width] = column[t].tolist()
                 fh.write(row_format % tuple(cells))
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc

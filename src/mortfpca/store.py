@@ -3,6 +3,9 @@
 All files are plain comma-separated text with a single header row.  Floats
 are written with ``repr``, the shortest representation that round-trips
 exactly, so repeated runs on identical inputs produce byte-identical files.
+Every numeric table goes through the one table writer of :mod:`mortfpca.hmd`
+(``_write_grid``); only ``eval.csv``, whose rows start with text and are
+appended, is written line by line.
 
 Schemas
 -------
@@ -41,29 +44,17 @@ def _save_fit(fit, years, ages, suffixes, outdir) -> None:
         raise ValueError(f"{len(suffixes)} file suffixes for a fit of {len(fit.means)} slices")
     os.makedirs(outdir, exist_ok=True)
     n = fit.n_components
-    write_lines(
-        os.path.join(outdir, "eigenvalues.csv"),
-        ["component,eigenvalue,var_explained"]
-        + [f"{k + 1},{_fmt(fit.eigenvalues[k])},{_fmt(fit.var_explained[k])}" for k in range(n)],
-    )
-    header = "year," + ",".join(f"score_{k + 1}" for k in range(n))
-    rows = [
-        f"{year}," + ",".join(_fmt(fit.scores[t, k]) for k in range(n))
-        for t, year in enumerate(years)
-    ]
-    write_lines(os.path.join(outdir, "scores.csv"), [header] + rows)
-
+    _write_grid(os.path.join(outdir, "eigenvalues.csv"), ["component,eigenvalue,var_explained"],
+                None, range(1, n + 1), [fit.eigenvalues, fit.var_explained], "%r")
+    _write_grid(os.path.join(outdir, "scores.csv"),
+                ["year," + ",".join(f"score_{k + 1}" for k in range(n))],
+                None, years, fit.scores.T, "%r")
     for suffix, mean, loadings in zip(suffixes, fit.means, fit.loadings):
-        write_lines(
-            os.path.join(outdir, f"mean{suffix}.csv"),
-            ["age,mean"] + [f"{a},{_fmt(v)}" for a, v in zip(ages, mean)],
-        )
-        header = "age," + ",".join(f"ef_{k + 1}" for k in range(n))
-        rows = [
-            f"{a}," + ",".join(_fmt(loadings[k, j]) for k in range(n))
-            for j, a in enumerate(ages)
-        ]
-        write_lines(os.path.join(outdir, f"eigenfunctions{suffix}.csv"), [header] + rows)
+        _write_grid(os.path.join(outdir, f"mean{suffix}.csv"), ["age,mean"], None, ages, [mean],
+                    "%r")
+        _write_grid(os.path.join(outdir, f"eigenfunctions{suffix}.csv"),
+                    ["age," + ",".join(f"ef_{k + 1}" for k in range(n))],
+                    None, ages, loadings, "%r")
 
 
 def save_fpca_fit(fit, years, ages, outdir) -> None:

@@ -387,12 +387,28 @@ def _start_cells(series: np.ndarray, cells):
     return reasons, w, real, free, x
 
 
+def _spec(cell, ar, ma, drift: float, sse: float, n_obs: int, mode: str,
+          fallback: bool = False) -> ArimaSpec:
+    """The ArimaSpec of ``cell`` fitted to ``n_obs`` values with residual sum of squares ``sse``.
+
+    The one place the likelihood sample size, innovation variance, Gaussian
+    log-likelihood, AIC and BIC of a fitted cell are computed.
+    """
+    p, d, q, include_drift = cell
+    n_eff = n_obs - N_COND - MAX_D
+    k = p + q + 1 + (1 if include_drift else 0)
+    sigma2 = max(sse / n_eff, 1e-300)
+    loglik = -0.5 * n_eff * (math.log(2 * math.pi) + math.log(sigma2) + 1.0)
+    return ArimaSpec(p, d, q, include_drift, ar, ma, drift, innovation_var=sigma2,
+                     loglik=loglik, aic=2.0 * k - 2.0 * loglik,
+                     bic=k * math.log(n_eff) - 2.0 * loglik, mode=mode, fallback=fallback)
+
+
 def _finish_cells(series: np.ndarray, cells, mode: str, reasons, w, real, x) -> list:
     """Margins, final CSS and ArimaSpec of every cell ``reasons`` has not rejected.
 
     Returns, per cell, its ArimaSpec or the message of why it was rejected.
     """
-    n_eff = series.size - N_COND - MAX_D
     results = list(reasons)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         finite = np.isfinite(x).all(axis=1)
@@ -420,23 +436,8 @@ def _finish_cells(series: np.ndarray, cells, mode: str, reasons, w, real, x) -> 
         if not math.isfinite(sse):
             results[i] = f"non-finite residuals for {_cell_name(cells[i])}"
             continue
-        k = p + q + 1 + (1 if drift else 0)
-        sigma2 = max(sse / n_eff, 1e-300)
-        loglik = -0.5 * n_eff * (math.log(2 * math.pi) + math.log(sigma2) + 1.0)
-        results[i] = ArimaSpec(
-            p=p,
-            d=d,
-            q=q,
-            include_drift=drift,
-            ar=x[i, :p].copy(),
-            ma=x[i, MAX_ORDER : MAX_ORDER + q].copy(),
-            drift=float(x[i, _DRIFT]) if drift else 0.0,
-            innovation_var=sigma2,
-            loglik=loglik,
-            aic=2.0 * k - 2.0 * loglik,
-            bic=k * math.log(n_eff) - 2.0 * loglik,
-            mode=mode,
-        )
+        results[i] = _spec(cells[i], x[i, :p].copy(), x[i, MAX_ORDER : MAX_ORDER + q].copy(),
+                           float(x[i, _DRIFT]) if drift else 0.0, sse, series.size, mode)
     return results
 
 
@@ -516,27 +517,10 @@ def _fallback_spec(series: np.ndarray, mode: str) -> ArimaSpec:
     d = 1 if mode == "nonstationary" else 0
     w = np.diff(series, d) if d else series
     burn = MAX_D - d
-    n_eff = w.size - N_COND - burn
     c = float(np.mean(w[N_COND + burn :]))
     e = w[N_COND + burn :] - c
-    sigma2 = max(float(e @ e) / n_eff, 1e-300)
-    loglik = -0.5 * n_eff * (math.log(2 * math.pi) + math.log(sigma2) + 1.0)
-    k = 2
-    return ArimaSpec(
-        p=0,
-        d=d,
-        q=0,
-        include_drift=True,
-        ar=np.empty(0),
-        ma=np.empty(0),
-        drift=c,
-        innovation_var=sigma2,
-        loglik=loglik,
-        aic=2.0 * k - 2.0 * loglik,
-        bic=k * math.log(n_eff) - 2.0 * loglik,
-        mode=mode,
-        fallback=True,
-    )
+    return _spec((0, d, 0, True), np.empty(0), np.empty(0), c, float(e @ e), series.size, mode,
+                 fallback=True)
 
 
 def fit_auto(series, mode: str = "nonstationary") -> ArimaSpec:

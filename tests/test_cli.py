@@ -11,7 +11,9 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from mortfpca.cli import ENV_DATA_DIR, main
+from mortfpca.cli import ENV_DATA_DIR, RunConfig, _resolve_kappa, main
+from mortfpca.demographics import life_expectancy
+from mortfpca.forecasters import MODELS, WEIGHTED_MODELS
 from mortfpca.hmd import (
     MortalitySurface,
     read_matrix_csv,
@@ -339,6 +341,36 @@ def test_bad_sigma_grid_fails_with_one_error_line(tmp_path, smooth_dir, edit, ca
     assert not (tmp_path / "out" / "forecast_female.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["smooth", "evaluate"])
+def test_smoothed_input_to_smooth_or_evaluate_is_a_config_error(tmp_path, smooth_dir, command,
+                                                                capsys):
+    # evaluate scores against observed rates, and smoothing twice would change the surfaces
+    out = tmp_path / "out"
+    rc = main([command, "--data", str(smooth_dir), "--out", str(out),
+               "--model", "independent", "--h", "1", "--windows", "1"])
+    assert rc == 1
+    assert_error_line(capsys, "cli", "ConfigError")
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("command", ["smooth", "fit", "forecast", "evaluate", "diagnose"])
+def test_directory_mixing_observed_and_smoothed_is_a_config_error(tmp_path, obs_dir, smooth_dir,
+                                                                  command, capsys):
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "female.csv").write_bytes((obs_dir / "female.csv").read_bytes())
+    for name in ("male.csv", "male.sigma.csv"):
+        (data / name).write_bytes((smooth_dir / name).read_bytes())
+    out = tmp_path / "out"
+    rc = main([command, "--data", str(data), "--out", str(out),
+               "--model", "independent", "--h", "1", "--windows", "1"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert ERROR_RE.match(err.strip()) and "type=ConfigError " in err, err
+    assert "mixes observed and smoothed surfaces" in err
+    assert not any(out.iterdir())
+
+
 # -- evaluate ----------------------------------------------------------------
 
 
@@ -405,6 +437,22 @@ def test_diagnose_writes_ratio_and_life_expectancy(tmp_path, smooth_dir, capsys)
     assert "e0 2000:" in out and "e0 2018:" in out
 
 
+def test_e0_rows_are_the_shortest_repr_of_each_life_expectancy(tmp_path, smooth_dir):
+    args = ["--data", str(smooth_dir), "--model", "coherent", "--kappa", "0.6", "--h", "3"]
+    assert main(["diagnose", "--out", str(tmp_path / "diag")] + args) == 0
+    assert main(["forecast", "--out", str(tmp_path / "fc")] + args) == 0
+    rates = {}
+    for pid in ("male", "female"):
+        rows = (tmp_path / "fc" / f"forecast_{pid}.csv").read_text().splitlines()[1:]
+        forecast = np.array([float(row.split(",")[2]) for row in rows]).reshape(3, AGES.size)
+        rates[pid] = np.vstack([read_surface_csv(smooth_dir / f"{pid}.csv").log_rates, forecast])
+    expected = ["year,e0_male,e0_female"] + [
+        f"{year},{life_expectancy(male).e0!r},{life_expectancy(female).e0!r}"
+        for year, male, female in zip(range(2000, 2019), rates["male"], rates["female"])
+    ]
+    assert (tmp_path / "diag" / "e0.csv").read_text().splitlines() == expected
+
+
 def test_diagnose_needs_both_sexes(tmp_path, smooth_dir, capsys):
     data = tmp_path / "data"
     data.mkdir()
@@ -432,6 +480,14 @@ def test_diagnose_unwritable_e0_target_is_an_io_error(tmp_path, smooth_dir, caps
                "--model", "independent", "--h", "2"])
     assert rc == 1
     assert_error_line(capsys, "hmd", "IoError")
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_only_weighted_models_resolve_a_kappa(model):
+    kappa = _resolve_kappa(RunConfig(model=model, kappa=0.4), bundle=None)
+    assert (kappa is None) == (model in ("independent", "product_ratio"))
+    assert (kappa is None) == (model not in WEIGHTED_MODELS)
+    assert kappa in (None, 0.4)
 
 
 # -- configuration layering --------------------------------------------------

@@ -210,3 +210,13 @@ def test_end_to_end_rolling_on_synthetic(small_observed):
         report.avg_rmse, np.mean(list(report.rmse.values())), rtol=1e-12
     )
     assert report.country == "synthetic"
+
+
+@pytest.mark.parametrize("model", ["independent", "product_ratio"])
+def test_tune_kappa_rejects_models_that_ignore_kappa(model, monkeypatch):
+    fits = []
+    monkeypatch.setattr(evaluation, "fit_model", lambda *args, **kwargs: fits.append(args))
+    with pytest.raises(ValueError, match="weight years by kappa"):
+        tune_kappa(constant_bundle(), model, h=1, grid=[0.2, 0.8], windows=2,
+                   smooth_config=CONFIG)
+    assert fits == []  # rejected before any rolling fit

@@ -1,5 +1,7 @@
 """The four model variants and their prediction intervals."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.stats import norm
@@ -9,10 +11,13 @@ from mortfpca.components import FULL_RANK, ComponentRule
 from mortfpca.errors import AlphaOutOfRange, EmptyBundle
 from mortfpca.forecasters import (
     MODELS,
+    WEIGHTED_MODELS,
     ForecastSurface,
     fit_coherent,
+    fit_independent,
     fit_model,
     fit_product_ratio,
+    fit_wmfpca,
     in_sample_reconstruction,
     predict_interval,
 )
@@ -78,6 +83,45 @@ def test_one_order_search_per_model_fit(model, small_truth, monkeypatch):
             np.testing.assert_array_equal(got.mean, alone.mean)
             np.testing.assert_array_equal(got.variance, alone.variance)
             assert got.spec.order == alone.spec.order
+
+
+def assert_bitwise_equal(a, b, path="result"):
+    """Equal dataclass field by field, down to the bytes of every float and array."""
+    assert type(a) is type(b), path
+    if dataclasses.is_dataclass(a):
+        for f in dataclasses.fields(a):
+            assert_bitwise_equal(getattr(a, f.name), getattr(b, f.name), f"{path}.{f.name}")
+    elif isinstance(a, (list, tuple)):
+        assert len(a) == len(b), path
+        for i, (x, y) in enumerate(zip(a, b)):
+            assert_bitwise_equal(x, y, f"{path}[{i}]")
+    elif isinstance(a, (float, np.ndarray, np.generic)):
+        x, y = np.asarray(a), np.asarray(b)
+        assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), path
+    else:
+        assert a == b, path
+
+
+WEIGHTED = {"kappa": 0.4, "weight_power": 0.5}
+
+
+@pytest.mark.parametrize("model, fit, kwargs", [
+    ("independent", lambda bundle: fit_independent(bundle, RULE, 3), {}),
+    ("wmfpca", lambda bundle: fit_wmfpca(bundle, 0.4, RULE, 3, 0.5), WEIGHTED),
+    ("coherent", lambda bundle: fit_coherent(bundle, 0.4, RULE, 3, 0.5), WEIGHTED),
+    ("product_ratio", lambda bundle: fit_product_ratio(bundle, RULE, 3), {}),
+])
+def test_each_fit_function_is_fit_model_of_its_name(model, fit, kwargs, small_observed):
+    expected = fit_model(small_observed, model, 3, rule=RULE, **kwargs)
+    assert_bitwise_equal(fit(small_observed), expected)
+
+
+@pytest.mark.parametrize("model", ["independent", "product_ratio"])
+def test_unweighted_models_ignore_kappa_and_weight_power(model, small_observed):
+    assert model not in WEIGHTED_MODELS
+    weighted = fit_model(small_observed, model, 3, kappa=0.3, rule=RULE, weight_power=0.5)
+    assert_bitwise_equal(weighted, fit_model(small_observed, model, 3, rule=RULE))
+    assert weighted.weights.kappa is None
 
 
 def test_fit_model_validation(small_truth):

@@ -92,6 +92,54 @@ def test_fpca_fit_writer_rejects_a_joint_fit(tmp_path):
     assert not any(tmp_path.iterdir())
 
 
+def reference_fit_files(fit, years, ages, suffixes):
+    """The per-cell ``repr`` rows the fit writer wrote before it used the table writer."""
+    n = fit.n_components
+    files = {"eigenvalues.csv": ["component,eigenvalue,var_explained"] + [
+        f"{k + 1},{float(fit.eigenvalues[k])!r},{float(fit.var_explained[k])!r}"
+        for k in range(n)]}
+    files["scores.csv"] = ["year," + ",".join(f"score_{k + 1}" for k in range(n))] + [
+        f"{year}," + ",".join(repr(float(fit.scores[t, k])) for k in range(n))
+        for t, year in enumerate(years)]
+    for suffix, mean, loadings in zip(suffixes, fit.means, fit.loadings):
+        files[f"mean{suffix}.csv"] = ["age,mean"] + [
+            f"{a},{float(v)!r}" for a, v in zip(ages, mean)]
+        files[f"eigenfunctions{suffix}.csv"] = ["age," + ",".join(
+            f"ef_{k + 1}" for k in range(n))] + [
+            f"{a}," + ",".join(repr(float(loadings[k, j])) for k in range(n))
+            for j, a in enumerate(ages)]
+    return {name: ("\n".join(lines) + "\n").encode() for name, lines in sorted(files.items())}
+
+
+@pytest.mark.parametrize("curves", ["random", "constant"])
+def test_fit_files_match_the_per_cell_reference(tmp_path, curves):
+    rng = np.random.default_rng(2)
+    years, ages = np.arange(1990, 1998), np.arange(4)
+    if curves == "random":
+        pops = [rng.normal(-4, 1, (8, 4)) for _ in range(2)]
+    else:  # every year the same curve, whose weighted mean is exact: no component
+        pops = [np.tile([-6.0, -5.5, -5.0, -4.25], (8, 1)) + i for i in range(2)]
+    one = fit_ufpca(pops[0], uniform_weights(8), ComponentRule(threshold=0.9))
+    joint = fit_mfpca(pops, uniform_weights(8), ComponentRule(threshold=0.9))
+    save_fpca_fit(one, years, ages, tmp_path / "one")
+    save_mfpca_fit(joint, years, ages, ["f", "m"], tmp_path / "joint")
+    assert read_all(tmp_path / "one") == reference_fit_files(one, years, ages, [""])
+    assert read_all(tmp_path / "joint") == reference_fit_files(joint, years, ages, ["_f", "_m"])
+    assert (one.n_components == joint.n_components == 0) == (curves == "constant")
+
+
+def test_zero_component_fit_files(tmp_path):
+    fit = fit_ufpca(np.tile([-6.0, -5.5, -5.0], (4, 1)), uniform_weights(4))
+    assert fit.n_components == 0
+    save_fpca_fit(fit, np.arange(2001, 2005), np.arange(3), tmp_path)
+    assert read_all(tmp_path) == {
+        "eigenfunctions.csv": b"age,\n0,\n1,\n2,\n",
+        "eigenvalues.csv": b"component,eigenvalue,var_explained\n",
+        "mean.csv": b"age,mean\n0,-6.0\n1,-5.5\n2,-5.0\n",
+        "scores.csv": b"year,\n2001,\n2002,\n2003,\n2004,\n",
+    }
+
+
 def test_forecast_surface_file(tmp_path):
     surface = ForecastSurface(
         population_id="pop",
