@@ -5,7 +5,15 @@ spaced knot grid, a second-order difference penalty on the coefficients, and
 the penalty weight chosen by generalized cross-validation over a fixed
 lambda grid.  Old-age log rates are expected to rise, so fitted values above
 ``monotone_from_age`` are projected onto the non-decreasing cone with
-pool-adjacent-violators (``scipy.optimize.isotonic_regression``).
+pool-adjacent-violators (PAVA).
+
+Both building blocks are numpy and pure Python, bitwise equal to SciPy's.
+The design matrix is the Cox-de Boor recurrence in the operation order of
+``scipy.interpolate.BSpline.design_matrix``, and the projection is the PAVA
+of Busing (2022, *J. Stat. Softw.* 102(1), Algorithm 1) as
+``scipy.optimize.isotonic_regression`` runs it.  Neither SciPy module is
+imported, which keeps them and their dependencies out of the package's
+start-up cost.
 
 The work is batched over the years of a surface: the design, the penalty
 and the effective degrees of freedom do not depend on the curve, so each
@@ -18,8 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import BSpline
-from scipy.optimize import isotonic_regression
 
 from .errors import NonFiniteInput, SingularSystem
 
@@ -75,12 +81,26 @@ def residual_field(observed: np.ndarray, fitted: np.ndarray) -> ResidualField:
 def bspline_design(x: np.ndarray, basis_dim: int) -> np.ndarray:
     """Cubic B-spline design matrix with equally spaced knots spanning x."""
     x = np.asarray(x, dtype=float)
-    breaks = np.linspace(x[0], x[-1], basis_dim - SPLINE_DEGREE + 1)
-    knots = np.concatenate(
-        [np.full(SPLINE_DEGREE, x[0]), breaks, np.full(SPLINE_DEGREE, x[-1])]
-    )
-    design = BSpline.design_matrix(x, knots, SPLINE_DEGREE).toarray()
-    assert design.shape == (x.size, basis_dim)
+    k = SPLINE_DEGREE
+    breaks = np.linspace(x[0], x[-1], basis_dim - k + 1)
+    t = np.concatenate([np.full(k, x[0]), breaks, np.full(k, x[-1])])
+    # t[ell] <= x < t[ell + 1], the right end in the last non-empty interval
+    ell = np.clip(np.searchsorted(t, x, side="right") - 1, k, basis_dim - 1)
+    # h[:, n] is the basis function ell - j + n of degree j at x
+    h = np.zeros((x.size, k + 1))
+    h[:, 0] = 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for j in range(1, k + 1):
+            hh = h[:, :j].copy()
+            h[:, 0] = 0.0
+            for n in range(1, j + 1):
+                right, left = t[ell + n], t[ell + n - j]
+                distinct = right != left
+                w = hh[:, n - 1] / (right - left)
+                h[:, n - 1] = np.where(distinct, h[:, n - 1] + w * (right - x), h[:, n - 1])
+                h[:, n] = np.where(distinct, w * (x - left), 0.0)
+    design = np.zeros((x.size, basis_dim))
+    design[np.arange(x.size)[:, None], ell[:, None] - k + np.arange(k + 1)] = h
     return design
 
 
@@ -170,12 +190,58 @@ def penalized_fit(y: np.ndarray, config: SmoothConfig, x: np.ndarray | None = No
     return fitted[0], coef[0], float(lam[0])
 
 
+def _pava(y: list) -> list:
+    """Non-decreasing least-squares projection of ``y`` with unit weights.
+
+    Busing (2022), Algorithm 1, with ``>=`` in its lines 11 and 22, as SciPy
+    runs it: blocks are pooled through a running weighted sum, so every
+    value is rounded as in ``scipy.optimize.isotonic_regression``.
+    """
+    x, w = list(y), [1.0] * len(y)
+    n = len(x)
+    r = [0] * (n + 1)
+    r[1] = 1
+    b = 0
+    xb_prev, wb_prev = x[0], w[0]
+    i = 1
+    while i < n:
+        b += 1
+        xb, wb = x[i], w[i]
+        if xb_prev >= xb:
+            b -= 1
+            sb = wb_prev * xb_prev + wb * xb
+            wb += wb_prev
+            xb = sb / wb
+            while i < n - 1 and xb >= x[i + 1]:
+                i += 1
+                sb += w[i] * x[i]
+                wb += w[i]
+                xb = sb / wb
+            while b > 0 and x[b - 1] >= xb:
+                b -= 1
+                sb += w[b] * x[b]
+                wb += w[b]
+                xb = sb / wb
+        x[b] = xb_prev = xb
+        w[b] = wb_prev = wb
+        r[b + 1] = i + 1
+        i += 1
+    f = n
+    for k in range(b, -1, -1):
+        x[r[k]:f] = [x[k]] * (f - r[k])
+        f = r[k]
+    return x
+
+
 def _monotone_tail(fitted: np.ndarray, ages: np.ndarray, config: SmoothConfig) -> np.ndarray:
     """Project each row's values at ages >= ``monotone_from_age``, in place."""
     tail = np.flatnonzero(ages >= config.monotone_from_age)
     if tail.size > 1:
-        for row in fitted:
-            row[tail] = isotonic_regression(row[tail]).x
+        # a strictly increasing tail is its own projection; ties still go
+        # through PAVA, whose pooled mean of equal values can round
+        rising = np.all(np.diff(fitted[:, tail], axis=1) > 0, axis=1)
+        for i in np.flatnonzero(~rising):
+            fitted[i, tail] = _pava(fitted[i, tail].tolist())
     return fitted
 
 

@@ -127,7 +127,10 @@ def _decompose(scaled, centered, rule: ComponentRule, means: list, weights: Weig
     evals = svals**2 / (scaled.shape[0] - 1)
     total_variance = float(evals.sum())
 
-    if svals.size == 0 or svals[0] <= 0.0:
+    # years that all hold one curve centre to rounding noise of about
+    # eps * |mean| per cell, not to exact zeros: count that noise as no variance
+    level = max([1.0] + [float(np.abs(m).max(initial=0.0)) for m in means])
+    if svals.size == 0 or svals[0] <= scaled.size * np.finfo(float).eps * level:
         n_keep = 0
     else:
         n_keep = int(np.sum(svals > EIGENVALUE_RTOL * svals[0]))

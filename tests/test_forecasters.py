@@ -21,7 +21,9 @@ from mortfpca.forecasters import (
     in_sample_reconstruction,
     predict_interval,
 )
+from mortfpca.hmd import MortalitySurface, SurfaceBundle
 from mortfpca.smoothing import ResidualField
+from mortfpca.synthetic import synthetic_bundle
 from mortfpca.tsmodels import fit_auto, forecast
 from mortfpca.ufpca import geometric_weights
 
@@ -243,6 +245,23 @@ def test_full_rank_in_sample_reconstruction(model, small_truth):
     recons = in_sample_reconstruction(result)
     for surface, recon in zip(small_truth, recons):
         np.testing.assert_allclose(recon, surface.log_rates, atol=1e-8)
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_year_constant_surface_keeps_no_component(model):
+    # 15 years of one curve centre to rounding noise (about 1e-15), not to
+    # exact zeros; no model may keep a component of it or search its scores
+    base = synthetic_bundle(seed=5, n_years=15, max_age=34)
+    bundle = SurfaceBundle([
+        MortalitySurface(s.population_id, s.years, s.ages, np.tile(s.log_rates[0], (15, 1)))
+        for s in base
+    ])
+    result = fit_model(bundle, model, h=3, kappa=0.5, rule=RULE)
+    assert [block.fit.n_components for block in result.blocks] == [0] * len(result.blocks)
+    for surface, forecast_surface in zip(bundle, predict_interval(result)):
+        np.testing.assert_allclose(
+            forecast_surface.mean, np.tile(surface.log_rates[0], (3, 1)), atol=1e-12
+        )
 
 
 def test_coherent_identical_populations_forecast_no_gap(small_truth):

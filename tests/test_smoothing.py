@@ -1,13 +1,23 @@
 """Penalized spline smoothing: basis, penalty, GCV choice, monotone tail."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.interpolate import BSpline
+from scipy.optimize import isotonic_regression
+
+import mortfpca
 
 from mortfpca.errors import NonFiniteInput, SingularSystem
 from mortfpca.hmd import MortalitySurface
 from mortfpca.smoothing import (
+    SPLINE_DEGREE,
     ResidualField,
     SmoothConfig,
     bspline_design,
@@ -49,6 +59,38 @@ def test_design_reproduces_cubics_exactly():
     design = bspline_design(x, 12)
     coef, *_ = np.linalg.lstsq(design, y, rcond=None)
     np.testing.assert_allclose(design @ coef, y, atol=1e-10)
+
+
+def assert_bitwise_equal(ours, reference):
+    """Equal values and equal sign bits, so 0.0 and -0.0 count as different."""
+    assert ours.shape == reference.shape
+    assert np.array_equal(ours, reference)
+    assert np.array_equal(np.signbit(ours), np.signbit(reference))
+
+
+def scipy_design(x, basis_dim):
+    """``bspline_design``'s knots, evaluated by SciPy's ``BSpline.design_matrix``."""
+    k = SPLINE_DEGREE
+    breaks = np.linspace(x[0], x[-1], basis_dim - k + 1)
+    knots = np.concatenate([np.full(k, x[0]), breaks, np.full(k, x[-1])])
+    return BSpline.design_matrix(x, knots, k).toarray()
+
+
+@pytest.mark.parametrize("max_age, basis_dim", [
+    (100, 30), (34, 30), (60, 30), (110, 30), (49, 12), (59, 12), (100, 15), (44, 15),
+])
+def test_design_equals_scipy_bitwise(max_age, basis_dim):
+    ages = np.arange(max_age + 1, dtype=float)
+    assert_bitwise_equal(bspline_design(ages, basis_dim), scipy_design(ages, basis_dim))
+
+
+@given(st.integers(10, 120).flatmap(
+    lambda max_age: st.tuples(st.just(max_age), st.integers(4, min(30, max_age + 1)))
+))
+def test_design_equals_scipy_bitwise_property(grid):
+    max_age, basis_dim = grid
+    ages = np.arange(max_age + 1, dtype=float)
+    assert_bitwise_equal(bspline_design(ages, basis_dim), scipy_design(ages, basis_dim))
 
 
 def test_difference_penalty_frozen_matrix():
@@ -97,6 +139,57 @@ def test_pava_matches_reference_isotonic_regression(y):
     np.testing.assert_allclose(ours, pava_reference(y), atol=1e-9)
     assert np.all(np.diff(ours) >= -1e-12)
     np.testing.assert_allclose(project_tail(ours), ours, atol=1e-12)
+
+
+ROWS = st.one_of(
+    st.lists(st.floats(min_value=-100, max_value=100), min_size=1, max_size=40),
+    # exact ties, where pooling k equal values and dividing by k can round,
+    # also in rows that are already non-decreasing
+    st.lists(st.integers(-20, 20).map(lambda v: v / 10), min_size=1, max_size=40),
+    st.lists(st.integers(-20, 20).map(lambda v: v / 10), min_size=1, max_size=40).map(sorted),
+    # strictly increasing (the rows PAVA leaves alone) and strictly decreasing
+    st.lists(st.floats(min_value=-100, max_value=100), min_size=1, max_size=40, unique=True)
+    .map(sorted),
+    st.lists(st.floats(min_value=-100, max_value=100), min_size=1, max_size=40, unique=True)
+    .map(lambda v: sorted(v, reverse=True)),
+)
+
+
+@given(ROWS)
+def test_monotone_tail_equals_scipy_isotonic_regression_bitwise(y):
+    y = np.asarray(y, dtype=float)
+    assert_bitwise_equal(project_tail(y), isotonic_regression(y).x)
+
+
+def test_monotone_tail_pools_non_decreasing_ties_as_scipy_does():
+    # 0.1 + 0.1 + 0.1 rounds up, so PAVA's pooled tie is not the tied value:
+    # a row is left alone only when it rises strictly
+    for y in ([0.1, 0.1, 0.1], [-1.0, 0.7, 0.7, 0.7, 2.0]):
+        y = np.asarray(y)
+        assert_bitwise_equal(project_tail(y), isotonic_regression(y).x)
+    assert project_tail([0.1, 0.1, 0.1])[0] == 0.10000000000000002
+
+
+def test_monotone_tail_projects_only_the_tail_of_each_row():
+    rows = np.array([[5.0, 1.0, 3.0, 2.0, 4.0], [1.0, 0.0, 1.0, 2.0, 3.0]])
+    out = _monotone_tail(rows.copy(), np.arange(5), SmoothConfig(monotone_from_age=2))
+    assert_bitwise_equal(out[:, :2], rows[:, :2])
+    assert_bitwise_equal(out[0, 2:], isotonic_regression(rows[0, 2:]).x)
+    assert_bitwise_equal(out[1], rows[1])
+
+
+def test_import_leaves_out_scipy_interpolate_and_optimize():
+    # a fresh interpreter: this test module itself imports both as references
+    src = str(Path(mortfpca.__file__).resolve().parents[1])
+    code = (
+        "import sys, mortfpca.cli; "
+        "print(' '.join(m for m in ('scipy.interpolate', 'scipy.optimize', "
+        "'scipy.sparse', 'scipy.spatial') if m in sys.modules))"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout.strip() == ""
 
 
 def _gcv_oracle(y, config, x=None):
