@@ -11,7 +11,10 @@ observed years.  Errors pool over windows and ages:
 Smoothing is done once up front; each year's curve is smoothed
 independently of the others, so per-window smoothing would give identical
 training inputs.  For the same reason ``tune_kappa`` smooths the bundle
-once and scores every kappa on that one smoothed bundle.
+once and scores every kappa on that one smoothed bundle.  Every kappa of a
+window trains on the same years, so one ARIMA order search per window
+(``forecasters._fit_models``) covers the whole grid; each kappa's specs,
+forecasts and RMSE are the ones it gets alone.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import numpy as np
 
 from .components import ComponentRule
 from .errors import InsufficientSpan, KappaOutOfRange
-from .forecasters import MODELS, WEIGHTED_MODELS, fit_model, predict_interval
+from .forecasters import MODELS, WEIGHTED_MODELS, _fit_models, predict_interval
 from .hmd import SurfaceBundle
 from .smoothing import SmoothConfig, smooth_surface
 from .tsmodels import MIN_OBS
@@ -69,36 +72,42 @@ def _check_design(bundle, model: str, h: int, windows: int) -> None:
         )
 
 
-def _rolling_report(bundle, smoothed, model, h, windows, kappa, rule, weight_power,
-                    country="") -> EvalReport:
-    """Rolling RMSE of ``model`` fitted on ``smoothed``, scored on ``bundle``."""
+def _rolling_report(bundle, smoothed, model, h, windows, kappas, rule, weight_power,
+                    country="") -> list[EvalReport]:
+    """One rolling-RMSE report per kappa: fitted on ``smoothed``, scored on ``bundle``.
+
+    Each window fits every kappa in one ``_fit_models`` call; each kappa's
+    squared errors add up over the windows in window order.
+    """
     first_year, last_year = int(bundle.years[0]), int(bundle.years[-1])
     first_train_end = last_year - windows - h + 1
     n_ages = bundle.ages.size
-    sq_err = {pid: 0.0 for pid in bundle.population_ids}
+    sq_errs = [{pid: 0.0 for pid in bundle.population_ids} for _ in kappas]
     for w in range(windows):
         train_end = first_train_end + w
-        target_year = train_end + h
+        target_idx = train_end + h - first_year
         training = smoothed.subset_years(first_year, train_end)
-        result = fit_model(training, model, h=h, kappa=kappa, rule=rule,
-                           weight_power=weight_power)
-        surfaces = predict_interval(result, residuals=None, alpha=0.05)
-        target_idx = target_year - first_year
-        for surface, observed in zip(surfaces, bundle):
-            err = surface.mean[h - 1] - observed.log_rates[target_idx]
-            sq_err[surface.population_id] += float(err @ err)
+        results = _fit_models(training, model, h, kappas, rule, weight_power)
+        for result, sq_err in zip(results, sq_errs):
+            surfaces = predict_interval(result, residuals=None, alpha=0.05)
+            for surface, observed in zip(surfaces, bundle):
+                err = surface.mean[h - 1] - observed.log_rates[target_idx]
+                sq_err[surface.population_id] += float(err @ err)
 
     denom = windows * n_ages
-    rmse = {pid: float(np.sqrt(v / denom)) for pid, v in sq_err.items()}
-    return EvalReport(
-        country=country,
-        model=model,
-        horizon=h,
-        windows=windows,
-        kappa=kappa,
-        rmse=rmse,
-        avg_rmse=float(np.mean(list(rmse.values()))),
-    )
+    reports = []
+    for kappa, sq_err in zip(kappas, sq_errs):
+        rmse = {pid: float(np.sqrt(v / denom)) for pid, v in sq_err.items()}
+        reports.append(EvalReport(
+            country=country,
+            model=model,
+            horizon=h,
+            windows=windows,
+            kappa=kappa,
+            rmse=rmse,
+            avg_rmse=float(np.mean(list(rmse.values()))),
+        ))
+    return reports
 
 
 def rolling_rmse(
@@ -120,8 +129,8 @@ def rolling_rmse(
     """
     _check_design(bundle, model, h, windows)
     smoothed, _ = smooth_bundle(bundle, smooth_config)
-    return _rolling_report(bundle, smoothed, model, h, windows, kappa, rule, weight_power,
-                           country)
+    return _rolling_report(bundle, smoothed, model, h, windows, [kappa], rule, weight_power,
+                           country)[0]
 
 
 def tune_kappa(
@@ -136,23 +145,25 @@ def tune_kappa(
 ) -> float:
     """Decay rate from ``grid`` minimizing the rolling average RMSE.
 
-    Exhaustive search; ties resolve to the smallest kappa.  The bundle is
-    smoothed once, and every kappa is scored on that smoothed bundle.
-    ``model`` must be one of ``WEIGHTED_MODELS``: the others ignore kappa.
+    Exhaustive search over the distinct values of ``grid``; ties resolve to
+    the smallest kappa.  The bundle is smoothed once, and every kappa is
+    scored on that smoothed bundle, one order search per window covering
+    them all.  ``model`` must be one of ``WEIGHTED_MODELS``: the others
+    ignore kappa.
     """
     if model not in WEIGHTED_MODELS:
         raise ValueError(f"only {WEIGHTED_MODELS} weight years by kappa, not {model!r}")
     grid = DEFAULT_KAPPA_GRID if grid is None else np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise KappaOutOfRange("empty kappa grid")
-    if np.any((grid <= 0) | (grid >= 1)):
+    if not np.all((grid > 0) & (grid < 1)):
         raise KappaOutOfRange("kappa candidates must lie in (0, 1)")
     _check_design(bundle, model, h, windows)
     smoothed, _ = smooth_bundle(bundle, smooth_config)
+    kappas = [float(kappa) for kappa in np.unique(grid)]
+    reports = _rolling_report(bundle, smoothed, model, h, windows, kappas, rule, weight_power)
     best_kappa, best_rmse = None, np.inf
-    for kappa in np.sort(grid):
-        report = _rolling_report(bundle, smoothed, model, h, windows, float(kappa), rule,
-                                 weight_power)
+    for kappa, report in zip(kappas, reports):
         if report.avg_rmse < best_rmse:
-            best_kappa, best_rmse = float(kappa), report.avg_rmse
+            best_kappa, best_rmse = kappa, report.avg_rmse
     return best_kappa

@@ -20,9 +20,10 @@ chosen ARIMA, and recombine.
     population's log ratio to it (stationary).  The classical coherent
     baseline.
 
-:func:`fit_model` is the one path through that pipeline: it checks the
-horizon, builds the year weights, builds the named variant's blocks and
-runs one order search over all their score series.  Only the
+:func:`fit_model` is the one path through that pipeline, a one-kappa call
+of ``_fit_models``: it checks the horizon, builds the year weights, builds
+the named variant's blocks and runs one order search over all their score
+series (over every kappa's, when ``_fit_models`` gets a grid).  Only the
 ``WEIGHTED_MODELS`` read ``kappa`` and ``weight_power``.  ``fit_independent``
 and its siblings are one-line calls into it.  The result is a
 :class:`ModelResult` whose :class:`Block` list spells out the variant's
@@ -36,12 +37,12 @@ squared eigenfunctions, and the smoothing residual scale.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import reduce
 from operator import add
 
 import numpy as np
-from scipy.special import ndtri
 
 from .components import ComponentRule
 from .errors import AlphaOutOfRange, EmptyBundle
@@ -55,6 +56,80 @@ from .ufpca import (
     geometric_weights,
     uniform_weights,
 )
+
+# Cephes ndtri (S. Moshier), the inverse standard normal CDF scipy.special
+# runs.  P0/Q0 cover exp(-2) < y < 1 - exp(-2); P1/Q1 and P2/Q2 cover the
+# tails, x = sqrt(-2 log y) in [2, 8) and [8, 38.6].  Q* omit their leading
+# coefficient 1.
+_NDTRI_P0 = (-5.99633501014107895267E1, 9.80010754185999661536E1,
+             -5.66762857469070293439E1, 1.39312609387279679503E1,
+             -1.23916583867381258016E0)
+_NDTRI_Q0 = (1.95448858338141759834E0, 4.67627912898881538453E0,
+             8.63602421390890590575E1, -2.25462687854119370527E2,
+             2.00260212380060660359E2, -8.20372256168333339912E1,
+             1.59056225126211695515E1, -1.18331621121330003142E0)
+_NDTRI_P1 = (4.05544892305962419923E0, 3.15251094599893866154E1,
+             5.71628192246421288162E1, 4.40805073893200834700E1,
+             1.46849561928858024014E1, 2.18663306850790267539E0,
+             -1.40256079171354495875E-1, -3.50424626827848203418E-2,
+             -8.57456785154685413611E-4)
+_NDTRI_Q1 = (1.57799883256466749731E1, 4.53907635128879210584E1,
+             4.13172038254672030440E1, 1.50425385692907503408E1,
+             2.50464946208309415979E0, -1.42182922854787788574E-1,
+             -3.80806407691578277194E-2, -9.33259480895457427372E-4)
+_NDTRI_P2 = (3.23774891776946035970E0, 6.91522889068984211695E0,
+             3.93881025292474443415E0, 1.33303460815807542389E0,
+             2.01485389549179081538E-1, 1.23716634817820021358E-2,
+             3.01581553508235416007E-4, 2.65806974686737550832E-6,
+             6.23974539184983293730E-9)
+_NDTRI_Q2 = (6.02427039364742014255E0, 3.67983563856160859403E0,
+             1.37702099489081330271E0, 2.16236993594496635890E-1,
+             1.34204006088543189037E-2, 3.28014464682127739104E-4,
+             2.89247864745380683936E-6, 6.79019408009981274425E-9)
+_EXP_MINUS_2 = 0.13533528323661269189
+_SQRT_2PI = 2.50662827463100050242E0
+
+
+def _polevl(x, coef):
+    """Horner's rule for coef[0] x^n + ... + coef[n], as Cephes polevl."""
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _p1evl(x, coef):
+    """Horner's rule with an implied leading coefficient 1, as Cephes p1evl."""
+    ans = x + coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _ndtri(y0: float) -> float:
+    """Inverse of the standard normal CDF, operation for operation Cephes ndtri."""
+    if y0 == 0.0:
+        return -math.inf
+    if y0 == 1.0:
+        return math.inf
+    y, upper = y0, False
+    if y > 1.0 - _EXP_MINUS_2:
+        y, upper = 1.0 - y, True
+    if y > _EXP_MINUS_2:
+        y = y - 0.5
+        y2 = y * y
+        x = y + y * (y2 * _polevl(y2, _NDTRI_P0) / _p1evl(y2, _NDTRI_Q0))
+        return x * _SQRT_2PI
+    x = math.sqrt(-2.0 * math.log(y))
+    x0 = x - math.log(x) / x
+    z = 1.0 / x
+    if x < 8.0:
+        x1 = z * _polevl(z, _NDTRI_P1) / _p1evl(z, _NDTRI_Q1)
+    else:
+        x1 = z * _polevl(z, _NDTRI_P2) / _p1evl(z, _NDTRI_Q2)
+    x = x0 - x1
+    return x if upper else -x
+
 
 @dataclass(eq=False)
 class ForecastSurface:
@@ -159,6 +234,18 @@ def fit_model(bundle, model: str, h: int = 20, kappa: float | None = None,
     column of every block (``fit_auto_many``), and the forecasts follow in
     block and column order.
     """
+    return _fit_models(bundle, model, h, [kappa], rule, weight_power)[0]
+
+
+def _fit_models(bundle, model: str, h: int, kappas, rule: ComponentRule | None,
+                weight_power: float) -> list[ModelResult]:
+    """``fit_model`` at every kappa of ``kappas``, with one order search over them all.
+
+    Every kappa's blocks are built first; then one ``fit_auto_many`` call
+    covers every score column in kappa, then block, then column order.
+    All kappas train on the same years, so their series share one length,
+    and each spec equals the one ``fit_model`` finds for that kappa alone.
+    """
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}; choose from {MODELS}")
     if h < 1:
@@ -172,14 +259,21 @@ def fit_model(bundle, model: str, h: int = 20, kappa: float | None = None,
     else:
         ids, years = [f"pop{i}" for i in range(len(curves))], np.arange(n_years)
     if model not in WEIGHTED_MODELS:
-        kappa, weight_power = None, 1.0
-    weights = geometric_weights(kappa, n_years) if kappa is not None else uniform_weights(n_years)
-    blocks = _BLOCKS[model](ids, curves, weights, rule, weight_power)
-    columns = [(series, block.mode) for block in blocks for series in block.fit.scores.T]
+        kappas, weight_power = [None] * len(kappas), 1.0
+    fits = []
+    for kappa in kappas:
+        weights = (geometric_weights(kappa, n_years) if kappa is not None
+                   else uniform_weights(n_years))
+        fits.append((weights, _BLOCKS[model](ids, curves, weights, rule, weight_power)))
+    columns = [(series, block.mode)
+               for _, blocks in fits for block in blocks for series in block.fit.scores.T]
     specs = iter(fit_auto_many([series for series, _ in columns], [mode for _, mode in columns]))
-    for block in blocks:
-        block.forecasts = [forecast(next(specs), series, h) for series in block.fit.scores.T]
-    return ModelResult(ids, years, h, weights, blocks)
+    results = []
+    for weights, blocks in fits:
+        for block in blocks:
+            block.forecasts = [forecast(next(specs), series, h) for series in block.fit.scores.T]
+        results.append(ModelResult(ids, years, h, weights, blocks))
+    return results
 
 
 def fit_independent(bundle, rule: ComponentRule | None = None, h: int = 20) -> ModelResult:
@@ -259,7 +353,7 @@ def predict_interval(result: ModelResult, residuals=None, alpha: float = 0.05):
     if not 0.0 < alpha < 1.0:
         raise AlphaOutOfRange(f"alpha must lie in (0, 1), got {alpha}")
     h = result.horizon
-    z = ndtri(1.0 - alpha / 2.0)
+    z = _ndtri(1.0 - alpha / 2.0)
     horizon_years = result.train_years[-1] + 1 + np.arange(h)
 
     surfaces = []

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import mortfpca.evaluation as evaluation
+from mortfpca import forecasters
 from mortfpca.errors import InsufficientSpan, KappaOutOfRange
 from mortfpca.evaluation import DEFAULT_KAPPA_GRID, rolling_rmse, tune_kappa
 from mortfpca.hmd import MortalitySurface, SurfaceBundle
@@ -27,16 +28,16 @@ def constant_bundle(n_years=16, n_ages=8, levels=(-4.0, -3.0)):
 
 
 class _Recorder:
-    """Stand-in for fit_model/predict_interval capturing the window design."""
+    """Stand-in for _fit_models/predict_interval capturing the window design."""
 
     def __init__(self, offset=0.0):
         self.offset = offset
         self.train_spans = []
         self.bundle = None
 
-    def fit(self, bundle, model, h=20, kappa=None, rule=None, weight_power=1.0):
+    def fit(self, bundle, model, h, kappas, rule, weight_power):
         self.train_spans.append((int(bundle.years[0]), int(bundle.years[-1])))
-        return {"bundle": bundle, "h": h}
+        return [{"bundle": bundle, "h": h} for _ in kappas]
 
     def predict(self, result, residuals=None, alpha=0.05):
         bundle, h = result["bundle"], result["h"]
@@ -64,7 +65,7 @@ def test_constant_surfaces_evaluate_to_zero_rmse():
 
 def test_injected_offset_is_recovered_exactly(monkeypatch):
     recorder = _Recorder(offset=0.3)
-    monkeypatch.setattr(evaluation, "fit_model", recorder.fit)
+    monkeypatch.setattr(evaluation, "_fit_models", recorder.fit)
     monkeypatch.setattr(evaluation, "predict_interval", recorder.predict)
     report = rolling_rmse(
         constant_bundle(), "wmfpca", h=2, windows=3, kappa=0.5, smooth_config=CONFIG
@@ -78,7 +79,7 @@ def test_injected_offset_is_recovered_exactly(monkeypatch):
 
 def test_windows_tile_the_final_years(monkeypatch):
     recorder = _Recorder()
-    monkeypatch.setattr(evaluation, "fit_model", recorder.fit)
+    monkeypatch.setattr(evaluation, "_fit_models", recorder.fit)
     monkeypatch.setattr(evaluation, "predict_interval", recorder.predict)
     bundle = constant_bundle(n_years=20)  # years 2000..2019
     rolling_rmse(bundle, "independent", h=3, windows=4, smooth_config=CONFIG)
@@ -100,7 +101,7 @@ def test_pooled_rmse_arithmetic(monkeypatch):
         recorder.offset = next(offsets)
         return _Recorder.predict(recorder, result, residuals, alpha)
 
-    monkeypatch.setattr(evaluation, "fit_model", recorder.fit)
+    monkeypatch.setattr(evaluation, "_fit_models", recorder.fit)
     monkeypatch.setattr(evaluation, "predict_interval", predict)
     report = rolling_rmse(
         constant_bundle(), "independent", h=1, windows=2, smooth_config=CONFIG
@@ -133,13 +134,13 @@ def test_rolling_rmse_validation():
 def test_tune_kappa_minimizes_rolling_rmse(monkeypatch):
     seen = []
 
-    def fake_rolling(bundle, smoothed, model, h, windows, kappa, rule, weight_power,
+    def fake_rolling(bundle, smoothed, model, h, windows, kappas, rule, weight_power,
                      country=""):
-        seen.append(kappa)
-        return evaluation.EvalReport(
+        seen.extend(kappas)
+        return [evaluation.EvalReport(
             country="", model=model, horizon=h, windows=windows, kappa=kappa,
             rmse={}, avg_rmse=abs(kappa - 0.35),
-        )
+        ) for kappa in kappas]
 
     monkeypatch.setattr(evaluation, "_rolling_report", fake_rolling)
     best = tune_kappa(constant_bundle(), "wmfpca", h=1, grid=[0.5, 0.2, 0.35], windows=2,
@@ -149,12 +150,12 @@ def test_tune_kappa_minimizes_rolling_rmse(monkeypatch):
 
 
 def test_tune_kappa_ties_resolve_to_smallest(monkeypatch):
-    def fake_rolling(bundle, smoothed, model, h, windows, kappa, rule, weight_power,
+    def fake_rolling(bundle, smoothed, model, h, windows, kappas, rule, weight_power,
                      country=""):
-        return evaluation.EvalReport(
+        return [evaluation.EvalReport(
             country="", model=model, horizon=h, windows=windows, kappa=kappa,
             rmse={}, avg_rmse=1.0,
-        )
+        ) for kappa in kappas]
 
     monkeypatch.setattr(evaluation, "_rolling_report", fake_rolling)
     assert tune_kappa(constant_bundle(), "wmfpca", h=1, grid=[0.9, 0.4, 0.6], windows=2,
@@ -191,6 +192,80 @@ def test_tune_kappa_grid_validation():
         tune_kappa(bundle, "wmfpca", h=1, grid=[-0.1])
 
 
+def test_tune_kappa_rejects_nan_before_smoothing_and_fits_each_kappa_once(monkeypatch):
+    smoothed = []
+    monkeypatch.setattr(evaluation, "smooth_surface",
+                        lambda surface, config=None: smoothed.append(surface))
+    with pytest.raises(KappaOutOfRange):
+        tune_kappa(constant_bundle(), "wmfpca", h=1, grid=[0.5, np.nan], windows=2,
+                   smooth_config=CONFIG)
+    assert smoothed == []  # rejected before any work
+    monkeypatch.undo()
+
+    seen = []
+
+    def fake_rolling(bundle, smoothed, model, h, windows, kappas, rule, weight_power,
+                     country=""):
+        seen.append(list(kappas))
+        return [evaluation.EvalReport(
+            country="", model=model, horizon=h, windows=windows, kappa=kappa,
+            rmse={}, avg_rmse=abs(kappa - 0.5),
+        ) for kappa in kappas]
+
+    monkeypatch.setattr(evaluation, "_rolling_report", fake_rolling)
+    best = tune_kappa(constant_bundle(), "wmfpca", h=1, grid=[0.5, 0.2, 0.5, 0.2], windows=2,
+                      smooth_config=CONFIG)
+    assert best == 0.5
+    assert seen == [[0.2, 0.5]]
+
+
+@pytest.mark.parametrize("model", ["wmfpca", "coherent"])
+def test_tune_kappa_batch_equals_one_kappa_reports(model, monkeypatch, small_observed):
+    config, grid, windows = SmoothConfig(basis_dim=8), [0.8, 0.2, 0.5], 2
+    batches = []
+    real_rolling = evaluation._rolling_report
+
+    def keep_reports(*args, **kwargs):
+        batches.append(real_rolling(*args, **kwargs))
+        return batches[-1]
+
+    searches = []
+    real_search = forecasters.fit_auto_many
+
+    def spy(series_list, modes):
+        searches.append((list(series_list), list(modes)))
+        return real_search(series_list, modes)
+
+    monkeypatch.setattr(evaluation, "_rolling_report", keep_reports)
+    monkeypatch.setattr(forecasters, "fit_auto_many", spy)
+    tune_kappa(small_observed, model, h=1, grid=grid, windows=windows, smooth_config=config)
+    monkeypatch.undo()
+
+    # one order search per window, holding every kappa's columns in kappa order
+    assert len(searches) == windows
+    smoothed, _ = evaluation.smooth_bundle(small_observed, config)
+    first_year, last_year = int(small_observed.years[0]), int(small_observed.years[-1])
+    for w, (series_list, modes) in enumerate(searches):
+        training = smoothed.subset_years(first_year, last_year - windows + w)
+        expected = [(series, block.mode)
+                    for kappa in sorted(grid)
+                    for block in forecasters.fit_model(training, model, 1, kappa).blocks
+                    for series in block.fit.scores.T]
+        assert modes == [mode for _, mode in expected]
+        assert len(series_list) == len(expected)
+        for got, (want, _) in zip(series_list, expected):
+            np.testing.assert_array_equal(got, want)
+
+    # each kappa's report from the batch equals its one-kappa report exactly
+    [reports] = batches
+    assert [r.kappa for r in reports] == sorted(grid)
+    for report in reports:
+        alone = rolling_rmse(small_observed, model, h=1, windows=windows, kappa=report.kappa,
+                             smooth_config=config)
+        assert report.rmse == alone.rmse
+        assert report.avg_rmse == alone.avg_rmse
+
+
 def test_default_grid_spans_open_interval():
     assert DEFAULT_KAPPA_GRID[0] == 0.05
     assert DEFAULT_KAPPA_GRID[-1] == 0.95
@@ -215,7 +290,7 @@ def test_end_to_end_rolling_on_synthetic(small_observed):
 @pytest.mark.parametrize("model", ["independent", "product_ratio"])
 def test_tune_kappa_rejects_models_that_ignore_kappa(model, monkeypatch):
     fits = []
-    monkeypatch.setattr(evaluation, "fit_model", lambda *args, **kwargs: fits.append(args))
+    monkeypatch.setattr(evaluation, "_fit_models", lambda *args, **kwargs: fits.append(args))
     with pytest.raises(ValueError, match="weight years by kappa"):
         tune_kappa(constant_bundle(), model, h=1, grid=[0.2, 0.8], windows=2,
                    smooth_config=CONFIG)

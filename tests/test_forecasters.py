@@ -4,6 +4,9 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy.special import ndtri
 from scipy.stats import norm
 
 from mortfpca import forecasters
@@ -225,6 +228,25 @@ def test_interval_half_width_is_the_normal_quantile(results, alpha):
     surface = predict_interval(results["independent"], alpha=alpha)[0]
     z = (surface.upper - surface.mean) / np.sqrt(surface.variance)
     np.testing.assert_allclose(z, norm.ppf(1.0 - alpha / 2.0), rtol=1e-12)
+
+
+def test_ndtri_equals_scipy_bitwise_on_the_interval_quantiles():
+    # every quantile 1 - alpha/2 for alpha = 0.0010, 0.0011, ..., 0.9990
+    alphas = np.round(np.arange(10, 9991) * 1e-4, 4)
+    quantiles = 1.0 - alphas / 2.0
+    ours = np.array([forecasters._ndtri(float(q)) for q in quantiles])
+    assert np.array_equal(ours, ndtri(quantiles))
+
+
+@given(st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True))
+def test_ndtri_equals_scipy_bitwise_on_the_open_interval(y):
+    assert forecasters._ndtri(y) == ndtri(y)
+
+
+def test_ndtri_equals_scipy_at_the_ends_and_on_subnormals():
+    for y in (0.0, 1.0, 5e-324, 1e-310, 2.2250738585072014e-308, np.nextafter(1.0, 0.0)):
+        assert forecasters._ndtri(y) == ndtri(y)
+    assert forecasters._ndtri(0.0) == -np.inf and forecasters._ndtri(1.0) == np.inf
 
 
 def test_alpha_controls_width(results):

@@ -192,6 +192,16 @@ def test_import_leaves_out_scipy_interpolate_and_optimize():
     assert out.stdout.strip() == ""
 
 
+def test_import_leaves_out_scipy_special():
+    # a fresh interpreter: the forecaster tests import it as the ndtri reference
+    src = str(Path(mortfpca.__file__).resolve().parents[1])
+    code = "import sys, mortfpca.cli; print('scipy.special' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout.strip() == "False"
+
+
 def _gcv_oracle(y, config, x=None):
     """Recompute the GCV path directly from the normal equations."""
     x = np.arange(y.size, dtype=float) if x is None else x
