@@ -17,11 +17,7 @@ from .forecasters import (
     Block,
     ForecastSurface,
     ModelResult,
-    fit_coherent,
-    fit_independent,
     fit_model,
-    fit_product_ratio,
-    fit_wmfpca,
     in_sample_reconstruction,
     predict_interval,
 )
@@ -76,14 +72,10 @@ __all__ = [
     "WeightScheme",
     "fit_auto",
     "fit_auto_many",
-    "fit_coherent",
-    "fit_independent",
     "fit_mfpca",
     "fit_model",
-    "fit_product_ratio",
     "fit_spec",
     "fit_ufpca",
-    "fit_wmfpca",
     "forecast",
     "geometric_weights",
     "hmd_text_from_bundle",

@@ -2,6 +2,8 @@
 
 Settings resolve in three layers: built-in defaults, then an optional flat
 ``key = value`` config file given with ``--config``, then explicit flags.
+Each setting is one ``RunConfig`` field that declares its parser and help,
+so a flag and a file line share one parser and one error.
 ``--data`` falls back to the ``MFPCA_DATA_DIR`` environment variable.  All
 failures print a single machine-parsable line to stderr::
 
@@ -24,7 +26,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -55,51 +57,57 @@ from .svgplot import line_chart
 ENV_DATA_DIR = "MFPCA_DATA_DIR"
 
 
+def _flag(raw: str) -> bool:
+    lowered = raw.lower()
+    if lowered in ("true", "1", "yes"):
+        return True
+    if lowered in ("false", "0", "no"):
+        return False
+    raise ValueError(raw)
+
+
+def _kappa(raw: str) -> str | float:
+    return raw if raw == "auto" else float(raw)
+
+
+def _setting(default, help: str, parse=str, **flag):
+    """A ``RunConfig`` setting: its default, the parser of its text and its flag."""
+    return field(default=default, metadata={"parse": parse, "help": help, "flag": flag})
+
+
 @dataclass
 class RunConfig:
     command: str = ""
-    data: str | None = None
-    out: str | None = None
-    model: str = "wmfpca"
-    h: int = 20
-    kappa: str | float | None = None
-    var_threshold: float = 0.9
-    ncomp: int | None = None
-    alpha: float = 0.05
-    windows: int = 10
-    seed: int = 0
-    plot: bool = False
-    weight_power: float = 1.0
-    country: str = ""
-    max_age: int = 100
+    data: str | None = _setting(None, f"input path (default ${ENV_DATA_DIR})")
+    out: str | None = _setting(None, "output directory")
+    model: str = _setting("wmfpca", "forecasting model", choices=MODELS)
+    h: int = _setting(20, "forecast horizon in years", int)
+    kappa: str | float | None = _setting(None, "geometric decay rate in (0,1), or 'auto'", _kappa)
+    var_threshold: float = _setting(0.9, "cumulative variance share for component choice", float)
+    ncomp: int | None = _setting(None, "fixed component count override", int)
+    alpha: float = _setting(0.05, "two-sided interval miss probability", float)
+    windows: int = _setting(10, "rolling evaluation window count", int)
+    seed: int = _setting(0, "accepted and ignored: no step is random", int)
+    plot: bool = _setting(False, "also write SVG charts", _flag,
+                          action="store_const", const="true")
+    weight_power: float = _setting(1.0, "1.0 scales centered curves by w_t, 0.5 by sqrt(w_t)",
+                                   float)
+    country: str = _setting("", "label used in reports and file prefixes")
+    max_age: int = _setting(100, "truncate ingested ages above this", int)
 
     @property
     def rule(self) -> ComponentRule:
         return ComponentRule(threshold=self.var_threshold, override=self.ncomp)
 
 
-_INT_KEYS = {"h", "ncomp", "windows", "seed", "max_age"}
-_FLOAT_KEYS = {"var_threshold", "alpha", "weight_power"}
-_BOOL_KEYS = {"plot"}
-_STR_KEYS = {"data", "out", "model", "country"}
+#: every setting a flag or a config file line can give, by name
+_SETTINGS = {f.name: f for f in fields(RunConfig) if f.metadata}
 
 
 def _coerce(key: str, raw: str):
+    """The value of setting ``key`` that flag or file text ``raw`` gives."""
     try:
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        if key in _BOOL_KEYS:
-            lowered = raw.lower()
-            if lowered in ("true", "1", "yes"):
-                return True
-            if lowered in ("false", "0", "no"):
-                return False
-            raise ValueError(raw)
-        if key == "kappa":
-            return raw if raw == "auto" else float(raw)
-        return raw
+        return _SETTINGS[key].metadata["parse"](raw)
     except ValueError as exc:
         raise ConfigError(f"bad value for {key!r}: {raw!r}") from exc
 
@@ -117,7 +125,6 @@ def _not_utf8(path) -> str:
 
 
 def _read_config_file(path) -> dict:
-    known = {f.name for f in fields(RunConfig)} - {"command"}
     values = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -135,7 +142,7 @@ def _read_config_file(path) -> dict:
         key, _, raw = stripped.partition("=")
         key = key.strip().replace("-", "_")
         raw = raw.strip()
-        if key not in known:
+        if key not in _SETTINGS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         values[key] = _coerce(key, raw)
     return values
@@ -150,24 +157,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="flat 'key = value' settings file")
-    common.add_argument("--data", help=f"input path (default ${ENV_DATA_DIR})")
-    common.add_argument("--out", help="output directory")
-    common.add_argument("--model", choices=MODELS, help="forecasting model")
-    common.add_argument("--h", type=int, help="forecast horizon in years")
-    common.add_argument("--kappa", help="geometric decay rate in (0,1), or 'auto'")
-    common.add_argument("--var-threshold", type=float, dest="var_threshold",
-                        help="cumulative variance share for component choice")
-    common.add_argument("--ncomp", type=int, help="fixed component count override")
-    common.add_argument("--alpha", type=float, help="two-sided interval miss probability")
-    common.add_argument("--windows", type=int, help="rolling evaluation window count")
-    common.add_argument("--seed", type=int, help="accepted and ignored: no step is random")
-    common.add_argument("--plot", action="store_const", const=True, default=None,
-                        help="also write SVG charts")
-    common.add_argument("--weight-power", type=float, dest="weight_power",
-                        help="1.0 scales centered curves by w_t, 0.5 by sqrt(w_t)")
-    common.add_argument("--country", help="label used in reports and file prefixes")
-    common.add_argument("--max-age", type=int, dest="max_age",
-                        help="truncate ingested ages above this")
+    for key, setting in _SETTINGS.items():
+        common.add_argument("--" + key.replace("_", "-"), help=setting.metadata["help"],
+                            **setting.metadata["flag"])
 
     sub.add_parser("ingest", parents=[common],
                    help="parse raw Mx_1x1 text into per-population CSV surfaces")
@@ -186,18 +178,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig(command=args.command)
-    if getattr(args, "config", None):
+    if args.config:
         for key, value in _read_config_file(args.config).items():
             setattr(cfg, key, value)
-    for f in fields(RunConfig):
-        flag_value = getattr(args, f.name, None)
-        if flag_value is not None:
-            setattr(cfg, f.name, flag_value)
+    for key in _SETTINGS:
+        raw = getattr(args, key)
+        if raw is not None:
+            setattr(cfg, key, _coerce(key, raw))
     if cfg.data is None:
         cfg.data = os.environ.get(ENV_DATA_DIR) or None
 
-    if isinstance(cfg.kappa, str) and cfg.kappa != "auto":
-        cfg.kappa = _coerce("kappa", cfg.kappa)
     if cfg.h < 1:
         raise ConfigError(f"h must be >= 1, got {cfg.h}")
     if not 0.0 < cfg.alpha < 1.0:
@@ -214,6 +204,9 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"kappa must lie in (0, 1), got {cfg.kappa}")
     if cfg.max_age < 1 or cfg.max_age > 100:
         raise ConfigError(f"max-age must lie in 1..100, got {cfg.max_age}")
+    if any(c.isspace() or c == "," for c in cfg.country):
+        # it becomes part of a population_id and an eval.csv field
+        raise ConfigError(f"country must hold no whitespace or comma, got {cfg.country!r}")
     if cfg.data is None:
         raise ConfigError(f"no input: pass --data or set ${ENV_DATA_DIR}")
     if cfg.model not in MODELS:
@@ -248,15 +241,16 @@ def _load_surface_dir(path):
                 raise SchemaMismatch(f"{sigma_path}: years or ages differ from {name}")
             if not np.all(np.isfinite(sigma) & (sigma >= 0)):
                 raise SchemaMismatch(f"{sigma_path}: sigma must be finite and non-negative")
-            residuals.append(
-                ResidualField(sigma=sigma, sigma_avg=np.sqrt(np.mean(sigma**2, axis=0)))
-            )
+            residuals.append(ResidualField(sigma=sigma))
         else:
             residuals.append(None)
         surfaces.append(surface)
     if len({s.kind for s in surfaces}) > 1:
         raise ConfigError(f"{path} mixes observed and smoothed surfaces")
-    bundle = SurfaceBundle(surfaces)
+    try:
+        bundle = SurfaceBundle(surfaces)
+    except ValueError as exc:  # two files of one population, or two grids
+        raise ConfigError(f"{path}: {exc}") from exc
     if any(r is None for r in residuals):
         residuals = None
     return bundle, residuals
@@ -303,7 +297,13 @@ def _resolve_kappa(cfg: RunConfig, bundle, holdout: bool = False) -> float | Non
         )
         print(f"tuned kappa = {kappa}")
         return kappa
-    return float(cfg.kappa)
+    return cfg.kappa
+
+
+def _fit(cfg: RunConfig, bundle):
+    """The configured model fitted to ``bundle``, with kappa tuned first for 'auto'."""
+    return fit_model(bundle, cfg.model, h=cfg.h, kappa=_resolve_kappa(cfg, bundle),
+                     rule=cfg.rule, weight_power=cfg.weight_power)
 
 
 # ---------------------------------------------------------------------------
@@ -330,24 +330,22 @@ def cmd_ingest(cfg: RunConfig) -> int:
 
 def cmd_smooth(cfg: RunConfig) -> int:
     out = _require_out(cfg)
-    smoothed, fields_ = smooth_bundle(_observed_surfaces(cfg), SmoothConfig())
-    for surface, field in zip(smoothed, fields_):
+    smoothed, residuals = smooth_bundle(_observed_surfaces(cfg), SmoothConfig())
+    for surface, residual in zip(smoothed, residuals):
         write_surface_csv(surface, os.path.join(out, f"{surface.population_id}.csv"))
         write_matrix_csv(
-            surface.years, surface.ages, field.sigma,
+            surface.years, surface.ages, residual.sigma,
             os.path.join(out, f"{surface.population_id}.sigma.csv"), "sigma",
         )
         print(f"smoothed {surface.population_id}: "
-              f"mean |residual| {field.sigma.mean():.4f}")
+              f"mean |residual| {residual.sigma.mean():.4f}")
     return 0
 
 
 def cmd_fit(cfg: RunConfig) -> int:
     out = _require_out(cfg)
     bundle, _ = _prepared_bundle(cfg)
-    kappa = _resolve_kappa(cfg, bundle)
-    result = fit_model(bundle, cfg.model, h=cfg.h, kappa=kappa, rule=cfg.rule,
-                       weight_power=cfg.weight_power)
+    result = _fit(cfg, bundle)
     for block in result.blocks:
         path = os.path.join(out, block.name)
         if block.fit.parts:
@@ -363,10 +361,7 @@ def cmd_fit(cfg: RunConfig) -> int:
 def cmd_forecast(cfg: RunConfig) -> int:
     out = _require_out(cfg)
     bundle, residuals = _prepared_bundle(cfg)
-    kappa = _resolve_kappa(cfg, bundle)
-    result = fit_model(bundle, cfg.model, h=cfg.h, kappa=kappa, rule=cfg.rule,
-                       weight_power=cfg.weight_power)
-    surfaces = predict_interval(result, residuals, alpha=cfg.alpha)
+    surfaces = predict_interval(_fit(cfg, bundle), residuals, alpha=cfg.alpha)
     for surface in surfaces:
         path = os.path.join(out, f"forecast_{surface.population_id}.csv")
         save_forecast_surface(surface, bundle.ages, path)
@@ -426,10 +421,7 @@ def cmd_diagnose(cfg: RunConfig) -> int:
     if bundle.ages[0] != 0:
         raise ConfigError(f"diagnose reports life expectancy at birth and needs age 0; "
                           f"the ages start at {bundle.ages[0]}")
-    kappa = _resolve_kappa(cfg, bundle)
-    result = fit_model(bundle, cfg.model, h=cfg.h, kappa=kappa, rule=cfg.rule,
-                       weight_power=cfg.weight_power)
-    surfaces = predict_interval(result, residuals, alpha=cfg.alpha)
+    surfaces = predict_interval(_fit(cfg, bundle), residuals, alpha=cfg.alpha)
 
     male_hist = bundle[male_i].log_rates
     female_hist = bundle[female_i].log_rates

@@ -18,14 +18,14 @@ chosen ARIMA, and recombine.
 ``product_ratio``
     Unweighted FPCA of the average log curve (nonstationary) and of each
     population's log ratio to it (stationary).  The classical coherent
-    baseline.
+    baseline: on the rate scale the average is the geometric-mean rate and
+    each ratio the population's relative risk against it.
 
 :func:`fit_model` is the one path through that pipeline, a one-kappa call
 of ``_fit_models``: it checks the horizon, builds the year weights, builds
 the named variant's blocks and runs one order search over all their score
 series (over every kappa's, when ``_fit_models`` gets a grid).  Only the
-``WEIGHTED_MODELS`` read ``kappa`` and ``weight_power``.  ``fit_independent``
-and its siblings are one-line calls into it.  The result is a
+``WEIGHTED_MODELS`` read ``kappa`` and ``weight_power``.  The result is a
 :class:`ModelResult` whose :class:`Block` list spells out the variant's
 shape: a population's forecast is the sum, over the blocks covering it, of
 a mean curve plus score forecasts times loadings.
@@ -274,43 +274,6 @@ def _fit_models(bundle, model: str, h: int, kappas, rule: ComponentRule | None,
             block.forecasts = [forecast(next(specs), series, h) for series in block.fit.scores.T]
         results.append(ModelResult(ids, years, h, weights, blocks))
     return results
-
-
-def fit_independent(bundle, rule: ComponentRule | None = None, h: int = 20) -> ModelResult:
-    """Unweighted per-population FPCA with nonstationary score models."""
-    return fit_model(bundle, "independent", h, rule=rule)
-
-
-def fit_wmfpca(bundle, kappa: float | None, rule: ComponentRule | None = None,
-               h: int = 20, weight_power: float = 1.0) -> ModelResult:
-    """Weighted multivariate FPCA with nonstationary shared score models.
-
-    ``kappa`` is the geometric decay rate of the year weights; ``None``
-    falls back to uniform weights.
-    """
-    return fit_model(bundle, "wmfpca", h, kappa, rule, weight_power)
-
-
-def fit_coherent(bundle, kappa: float | None, rule: ComponentRule | None = None,
-                 h: int = 20, weight_power: float = 1.0) -> ModelResult:
-    """Average-trend FPCA plus stationary multivariate FPCA of deviations.
-
-    The average curve's scores get nonstationary models; the deviation
-    scores are constrained to stationary models, so any two populations'
-    forecast gap converges as the horizon grows.
-    """
-    return fit_model(bundle, "coherent", h, kappa, rule, weight_power)
-
-
-def fit_product_ratio(bundle, rule: ComponentRule | None = None, h: int = 20) -> ModelResult:
-    """Unweighted decomposition into average log curve and log ratios.
-
-    On the rate scale the average log curve is the log geometric-mean rate
-    and each ratio is the population's log relative risk against it; their
-    sum reproduces the population exactly.  Ratio scores use stationary
-    models.
-    """
-    return fit_model(bundle, "product_ratio", h, rule=rule)
 
 
 # ---------------------------------------------------------------------------

@@ -94,9 +94,6 @@ class MortalitySurface:
     def n_ages(self) -> int:
         return self.ages.size
 
-    def copy_with(self, **changes) -> "MortalitySurface":
-        return replace(self, **changes)
-
 
 @dataclass(eq=False)
 class SurfaceBundle:
@@ -146,7 +143,7 @@ class SurfaceBundle:
             raise ValueError(f"no years in range {first}..{last}")
         return SurfaceBundle(
             [
-                s.copy_with(years=s.years[mask], log_rates=s.log_rates[mask])
+                replace(s, years=s.years[mask], log_rates=s.log_rates[mask])
                 for s in self.surfaces
             ]
         )
@@ -324,7 +321,7 @@ def impute_missing(surface: MortalitySurface) -> MortalitySurface:
             )
         if not ok.all():
             rates[t] = np.interp(x, x[ok], row[ok])
-    return surface.copy_with(log_rates=rates)
+    return replace(surface, log_rates=rates)
 
 
 # ---------------------------------------------------------------------------

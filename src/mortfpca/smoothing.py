@@ -23,7 +23,7 @@ year still gets its own lambda, exactly as if it were fitted alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -56,17 +56,20 @@ class ResidualField:
     """Absolute smoothing residuals sigma_{t,j} and their age profile.
 
     ``sigma_avg[j]`` is the root mean square of ``sigma[:, j]`` over years,
-    used later as the observational noise scale at each age.
+    used later as the observational noise scale at each age; it is derived
+    from ``sigma`` when not given.
     """
 
     sigma: np.ndarray
-    sigma_avg: np.ndarray
+    sigma_avg: np.ndarray | None = None
 
     def __post_init__(self):
         self.sigma = np.asarray(self.sigma, dtype=float)
-        self.sigma_avg = np.asarray(self.sigma_avg, dtype=float)
         if self.sigma.ndim != 2:
             raise ValueError("sigma must be a T x J matrix")
+        if self.sigma_avg is None:
+            self.sigma_avg = np.sqrt(np.mean(self.sigma**2, axis=0))
+        self.sigma_avg = np.asarray(self.sigma_avg, dtype=float)
         if self.sigma_avg.shape != (self.sigma.shape[1],):
             raise ValueError("sigma_avg must have one entry per age")
         if np.any(self.sigma < 0) or np.any(self.sigma_avg < 0):
@@ -75,7 +78,7 @@ class ResidualField:
 
 def residual_field(observed: np.ndarray, fitted: np.ndarray) -> ResidualField:
     sigma = np.abs(np.asarray(observed, float) - np.asarray(fitted, float))
-    return ResidualField(sigma=sigma, sigma_avg=np.sqrt(np.mean(sigma**2, axis=0)))
+    return ResidualField(sigma=sigma)
 
 
 def bspline_design(x: np.ndarray, basis_dim: int) -> np.ndarray:
@@ -278,5 +281,5 @@ def smooth_surface(surface, config: SmoothConfig | None = None):
         )
     fitted, _, _ = penalized_fit_rows(rates, config, x=surface.ages.astype(float))
     fitted = _monotone_tail(fitted, surface.ages, config)
-    smoothed = surface.copy_with(log_rates=fitted, kind="smoothed")
+    smoothed = replace(surface, log_rates=fitted, kind="smoothed")
     return smoothed, residual_field(rates, fitted)

@@ -25,15 +25,6 @@ from .errors import IoError
 from .hmd import _write_grid
 
 
-def write_lines(path, lines, mode: str = "w") -> None:
-    """Write (or with ``mode="a"`` append) newline-terminated ASCII lines."""
-    try:
-        with open(path, mode, encoding="ascii") as fh:
-            fh.write("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
-
-
 def _fmt(value) -> str:
     return repr(float(value))
 
@@ -86,4 +77,8 @@ def append_eval_report(report, path) -> None:
             f"{report.country},{report.model},{report.horizon},{pid},"
             f"{_fmt(rmse)},{_fmt(report.avg_rmse)},{report.windows},{kappa}"
         )
-    write_lines(path, rows, mode="a")
+    try:
+        with open(path, "a", encoding="ascii") as fh:
+            fh.write("\n".join(rows) + "\n")
+    except OSError as exc:
+        raise IoError(f"cannot write {path}: {exc}") from exc

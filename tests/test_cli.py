@@ -7,11 +7,19 @@ import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from mortfpca.cli import ENV_DATA_DIR, RunConfig, _resolve_kappa, main
+from mortfpca.cli import (
+    ENV_DATA_DIR,
+    RunConfig,
+    _resolve_kappa,
+    build_parser,
+    main,
+    resolve_config,
+)
 from mortfpca.demographics import life_expectancy
 from mortfpca.forecasters import MODELS, WEIGHTED_MODELS
 from mortfpca.hmd import (
@@ -371,6 +379,28 @@ def test_directory_mixing_observed_and_smoothed_is_a_config_error(tmp_path, obs_
     assert not any(out.iterdir())
 
 
+def _drop_last_year(path):
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(ln for ln in lines if not ln.startswith(f"{YEARS[-1]},")) + "\n")
+
+
+@pytest.mark.parametrize("edit", [
+    lambda data: (data / "female_copy.csv").write_bytes((data / "female.csv").read_bytes()),
+    lambda data: _drop_last_year(data / "male.csv"),
+], ids=["duplicate_population_id", "year_grids_differ"])
+def test_surfaces_that_form_no_bundle_are_a_config_error(tmp_path, obs_dir, edit, capsys):
+    data = tmp_path / "data"
+    data.mkdir()
+    for p in obs_dir.iterdir():
+        (data / p.name).write_bytes(p.read_bytes())
+    edit(data)
+    out = tmp_path / "out"
+    rc = main(["smooth", "--data", str(data), "--out", str(out)])
+    assert rc == 1
+    assert_error_line(capsys, "cli", "ConfigError")
+    assert not any(out.iterdir())
+
+
 # -- evaluate ----------------------------------------------------------------
 
 
@@ -582,11 +612,54 @@ def test_missing_data_is_a_config_error(tmp_path, monkeypatch, capsys):
     ["--max-age", "101"],
     ["--kappa", "1.5"],
     ["--kappa", "abc"],
+    ["--h", "abc"],
+    ["--ncomp", "1.5"],
+    ["--alpha", "x"],
+    ["--windows", "2.5"],
 ])
 def test_bad_flag_values_fail_with_one_error_line(tmp_path, extra, capsys):
     rc = main(["smooth", "--data", str(tmp_path), "--out", str(tmp_path)] + extra)
     assert rc == 1
     assert_error_line(capsys, "cli", "ConfigError")
+
+
+#: a valid non-default text for every setting; --plot is the one flag without text
+SETTING_TEXTS = [
+    ("data", "surfaces"), ("out", "results"), ("model", "coherent"), ("h", "7"),
+    ("kappa", "0.3"), ("kappa", "auto"), ("var_threshold", "0.8"), ("ncomp", "3"),
+    ("alpha", "0.1"), ("windows", "4"), ("seed", "5"), ("plot", "true"),
+    ("weight_power", "0.5"), ("country", "NZL"), ("max_age", "90"),
+]
+
+
+@pytest.mark.parametrize("key, text", SETTING_TEXTS)
+def test_flag_and_config_line_resolve_to_the_same_setting(tmp_path, key, text):
+    assert {k for k, _ in SETTING_TEXTS} == {f.name for f in fields(RunConfig)} - {"command"}
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {text}\n")
+    base = ["fit"] + ([] if key == "data" else ["--data", "surfaces"])
+    flag = ["--" + key.replace("_", "-")] + ([] if key == "plot" else [text])
+    parser = build_parser()
+    from_flag = resolve_config(parser.parse_args(base + flag))
+    from_file = resolve_config(parser.parse_args(base + ["--config", str(cfg)]))
+    assert getattr(from_flag, key) == getattr(from_file, key) != getattr(RunConfig(), key)
+
+
+@pytest.mark.parametrize("country", ["New Zealand", "NZ,1"])
+@pytest.mark.parametrize("via_file", [False, True], ids=["flag", "file"])
+def test_country_with_whitespace_or_comma_is_a_config_error(tmp_path, raw_path, country,
+                                                            via_file, capsys):
+    # a space splits the population_id comment on read-back; a comma shifts eval.csv columns
+    argv = ["ingest", "--data", str(raw_path), "--out", str(tmp_path / "out")]
+    if via_file:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"country = {country}\n")
+        argv += ["--config", str(cfg)]
+    else:
+        argv += ["--country", country]
+    assert main(argv) == 1
+    assert_error_line(capsys, "cli", "ConfigError")
+    assert not (tmp_path / "out").exists()
 
 
 def test_weighted_model_requires_kappa(tmp_path, smooth_dir, capsys):

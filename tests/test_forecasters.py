@@ -16,11 +16,7 @@ from mortfpca.forecasters import (
     MODELS,
     WEIGHTED_MODELS,
     ForecastSurface,
-    fit_coherent,
-    fit_independent,
     fit_model,
-    fit_product_ratio,
-    fit_wmfpca,
     in_sample_reconstruction,
     predict_interval,
 )
@@ -105,20 +101,6 @@ def assert_bitwise_equal(a, b, path="result"):
         assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), path
     else:
         assert a == b, path
-
-
-WEIGHTED = {"kappa": 0.4, "weight_power": 0.5}
-
-
-@pytest.mark.parametrize("model, fit, kwargs", [
-    ("independent", lambda bundle: fit_independent(bundle, RULE, 3), {}),
-    ("wmfpca", lambda bundle: fit_wmfpca(bundle, 0.4, RULE, 3, 0.5), WEIGHTED),
-    ("coherent", lambda bundle: fit_coherent(bundle, 0.4, RULE, 3, 0.5), WEIGHTED),
-    ("product_ratio", lambda bundle: fit_product_ratio(bundle, RULE, 3), {}),
-])
-def test_each_fit_function_is_fit_model_of_its_name(model, fit, kwargs, small_observed):
-    expected = fit_model(small_observed, model, 3, rule=RULE, **kwargs)
-    assert_bitwise_equal(fit(small_observed), expected)
 
 
 @pytest.mark.parametrize("model", ["independent", "product_ratio"])
@@ -288,20 +270,19 @@ def test_year_constant_surface_keeps_no_component(model):
 
 def test_coherent_identical_populations_forecast_no_gap(small_truth):
     curves = small_truth[0].log_rates
-    result = fit_coherent([curves, curves.copy()], kappa=0.4, rule=RULE, h=30)
+    result = fit_model([curves, curves.copy()], "coherent", h=30, kappa=0.4, rule=RULE)
     surfaces = predict_interval(result)
     gap = surfaces[0].mean - surfaces[1].mean
     assert np.max(np.abs(gap)) < 1e-6
     deviation_means = result.blocks[1].fit.means
-    for mean in deviation_means:
-        pass  # identical populations share one deviation mean
+    # identical populations share one deviation mean
     np.testing.assert_allclose(
         deviation_means[0], deviation_means[1], atol=1e-9
     )
 
 
 def test_product_ratio_ratios_cancel_across_populations(small_truth):
-    result = fit_product_ratio(small_truth, rule=FULL_RANK, h=1)
+    result = fit_model(small_truth, "product_ratio", h=1, rule=FULL_RANK)
     ratio_fits = [block.fit for block in result.blocks[1:]]
     np.testing.assert_allclose(
         ratio_fits[0].means[0] + ratio_fits[1].means[0], 0.0, atol=1e-12
