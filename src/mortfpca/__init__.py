@@ -30,7 +30,7 @@ from .hmd import (
     write_surface_csv,
 )
 from .mfpca import fit_mfpca
-from .smoothing import ResidualField, SmoothConfig, smooth_curve, smooth_surface
+from .smoothing import ResidualField, SmoothConfig, smooth_surface
 from .synthetic import hmd_text_from_bundle, synthetic_bundle
 from .tsmodels import (
     ArimaSpec,
@@ -89,7 +89,6 @@ __all__ = [
     "rolling_rmse",
     "select_ncomp",
     "sex_ratio",
-    "smooth_curve",
     "smooth_surface",
     "synthetic_bundle",
     "tune_kappa",

@@ -33,7 +33,7 @@ import numpy as np
 from .components import ComponentRule
 from .demographics import life_expectancy, sex_ratio
 from .errors import ConfigError, MalformedRow, MortfpcaError, SchemaMismatch
-from .evaluation import rolling_rmse, smooth_bundle, tune_kappa
+from .evaluation import _check_design, rolling_rmse, smooth_bundle, tune_kappa
 from .forecasters import MODELS, WEIGHTED_MODELS, fit_model, predict_interval
 from .hmd import (
     SurfaceBundle,
@@ -45,7 +45,7 @@ from .hmd import (
     write_matrix_csv,
     write_surface_csv,
 )
-from .smoothing import ResidualField, SmoothConfig
+from .smoothing import ResidualField
 from .store import (
     append_eval_report,
     save_forecast_surface,
@@ -68,6 +68,13 @@ def _flag(raw: str) -> bool:
 
 def _kappa(raw: str) -> str | float:
     return raw if raw == "auto" else float(raw)
+
+
+def _check_label(label: str, name: str) -> str:
+    """``label``, which becomes part of a population_id and an eval.csv field."""
+    if any(c.isspace() or c == "," for c in label):
+        raise ConfigError(f"{name} must hold no whitespace or comma, got {label!r}")
+    return label
 
 
 def _setting(default, help: str, parse=str, **flag):
@@ -204,9 +211,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"kappa must lie in (0, 1), got {cfg.kappa}")
     if cfg.max_age < 1 or cfg.max_age > 100:
         raise ConfigError(f"max-age must lie in 1..100, got {cfg.max_age}")
-    if any(c.isspace() or c == "," for c in cfg.country):
-        # it becomes part of a population_id and an eval.csv field
-        raise ConfigError(f"country must hold no whitespace or comma, got {cfg.country!r}")
+    _check_label(cfg.country, "country")
     if cfg.data is None:
         raise ConfigError(f"no input: pass --data or set ${ENV_DATA_DIR}")
     if cfg.model not in MODELS:
@@ -268,7 +273,7 @@ def _prepared_bundle(cfg: RunConfig):
     """A smoothed bundle plus residual fields, smoothing on the fly if needed."""
     bundle, residuals = _load_surface_dir(cfg.data)
     if bundle[0].kind == "observed":
-        return smooth_bundle([impute_missing(s) for s in bundle], SmoothConfig())
+        return smooth_bundle([impute_missing(s) for s in bundle])
     if residuals is None:
         raise ConfigError(f"{cfg.data} holds smoothed surfaces but no .sigma.csv files")
     return bundle, residuals
@@ -330,7 +335,7 @@ def cmd_ingest(cfg: RunConfig) -> int:
 
 def cmd_smooth(cfg: RunConfig) -> int:
     out = _require_out(cfg)
-    smoothed, residuals = smooth_bundle(_observed_surfaces(cfg), SmoothConfig())
+    smoothed, residuals = smooth_bundle(_observed_surfaces(cfg))
     for surface, residual in zip(smoothed, residuals):
         write_surface_csv(surface, os.path.join(out, f"{surface.population_id}.csv"))
         write_matrix_csv(
@@ -384,13 +389,16 @@ def cmd_forecast(cfg: RunConfig) -> int:
 
 
 def cmd_evaluate(cfg: RunConfig) -> int:
+    country = cfg.country or _check_label(os.path.basename(os.path.normpath(cfg.data)),
+                                          "the label taken from --data")
     out = _require_out(cfg)
     imputed = SurfaceBundle(_observed_surfaces(cfg))
+    # the holdout years of --kappa auto exist only if the design fits
+    _check_design(imputed, cfg.model, cfg.h, cfg.windows)
     kappa = _resolve_kappa(cfg, imputed, holdout=True)
     report = rolling_rmse(
         imputed, cfg.model, cfg.h, windows=cfg.windows, kappa=kappa,
-        rule=cfg.rule, weight_power=cfg.weight_power,
-        country=cfg.country or os.path.basename(os.path.normpath(cfg.data)),
+        rule=cfg.rule, weight_power=cfg.weight_power, country=country,
     )
     append_eval_report(report, os.path.join(out, "eval.csv"))
     for pid, rmse in report.rmse.items():

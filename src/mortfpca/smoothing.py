@@ -23,30 +23,29 @@ year still gets its own lambda, exactly as if it were fitted alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import NonFiniteInput, SingularSystem
 
 SPLINE_DEGREE = 3
+#: order of the difference penalty on the spline coefficients
+PENALTY_ORDER = 2
+#: penalty weights GCV chooses among, smallest first
+LAMBDA_GRID = np.logspace(-4.0, 4.0, 20)
 
 
 @dataclass
 class SmoothConfig:
+    """The smoothing settings that depend on the age grid of the input."""
+
     basis_dim: int = 30
-    penalty_order: int = 2
-    lambda_grid: np.ndarray = field(default_factory=lambda: np.logspace(-4.0, 4.0, 20))
     monotone_from_age: int = 65
 
     def __post_init__(self):
-        self.lambda_grid = np.asarray(self.lambda_grid, dtype=float)
         if self.basis_dim < SPLINE_DEGREE + 1:
             raise ValueError(f"basis_dim must be >= {SPLINE_DEGREE + 1}, got {self.basis_dim}")
-        if self.penalty_order < 1 or self.penalty_order >= self.basis_dim:
-            raise ValueError("penalty_order must lie in 1..basis_dim-1")
-        if self.lambda_grid.size == 0 or np.any(self.lambda_grid <= 0):
-            raise ValueError("lambda_grid must contain positive values")
         if not 0 <= self.monotone_from_age <= 100:
             raise ValueError("monotone_from_age must lie in 0..100")
 
@@ -74,11 +73,6 @@ class ResidualField:
             raise ValueError("sigma_avg must have one entry per age")
         if np.any(self.sigma < 0) or np.any(self.sigma_avg < 0):
             raise ValueError("residual magnitudes must be non-negative")
-
-
-def residual_field(observed: np.ndarray, fitted: np.ndarray) -> ResidualField:
-    sigma = np.abs(np.asarray(observed, float) - np.asarray(fitted, float))
-    return ResidualField(sigma=sigma)
 
 
 def bspline_design(x: np.ndarray, basis_dim: int) -> np.ndarray:
@@ -113,10 +107,10 @@ def difference_penalty(basis_dim: int, order: int) -> np.ndarray:
     return d.T @ d
 
 
-def penalized_fit_rows(rows: np.ndarray, config: SmoothConfig, x: np.ndarray | None = None):
-    """GCV-chosen penalized spline fit of each row of a T x n array.
+def penalized_fit_rows(rows: np.ndarray, config: SmoothConfig, x: np.ndarray):
+    """GCV-chosen penalized spline fit of each row of a T x n array, sampled at ``x``.
 
-    Each row gets the first lambda of ``config.lambda_grid`` at which its GCV
+    Each row gets the first lambda of ``LAMBDA_GRID`` at which its GCV
     score reaches its minimum, as if it were fitted on its own.
 
     Returns
@@ -134,15 +128,13 @@ def penalized_fit_rows(rows: np.ndarray, config: SmoothConfig, x: np.ndarray | N
     if not np.all(np.isfinite(rows)):
         raise NonFiniteInput("curve contains non-finite values")
     n_rows, n = rows.shape
-    if x is None:
-        x = np.arange(n, dtype=float)
     if n < config.basis_dim:
         raise SingularSystem(
             f"{n} observations cannot support basis_dim={config.basis_dim}"
         )
 
     design = bspline_design(x, config.basis_dim)
-    penalty = difference_penalty(config.basis_dim, config.penalty_order)
+    penalty = difference_penalty(config.basis_dim, PENALTY_ORDER)
     btb = design.T @ design
     bty = design.T @ rows.T
 
@@ -150,7 +142,7 @@ def penalized_fit_rows(rows: np.ndarray, config: SmoothConfig, x: np.ndarray | N
     best_fitted = np.empty((n_rows, n))
     best_coef = np.empty((n_rows, config.basis_dim))
     best_lam = np.empty(n_rows)
-    for lam in config.lambda_grid:
+    for lam in LAMBDA_GRID:
         system = btb + lam * penalty
         try:
             coef = np.linalg.solve(system, bty).T
@@ -170,27 +162,6 @@ def penalized_fit_rows(rows: np.ndarray, config: SmoothConfig, x: np.ndarray | N
     if not np.all(np.isfinite(best_fitted)):
         raise SingularSystem("fit produced non-finite values")
     return best_fitted, best_coef, best_lam
-
-
-def penalized_fit(y: np.ndarray, config: SmoothConfig, x: np.ndarray | None = None):
-    """GCV-chosen penalized spline fit of one curve.
-
-    The single-row case of :func:`penalized_fit_rows`.
-
-    Returns
-    -------
-    fitted : ndarray
-        Fitted values on the input grid (no monotone projection).
-    coef : ndarray
-        Spline coefficients of the winning fit.
-    lam : float
-        The chosen penalty weight.
-    """
-    y = np.asarray(y, dtype=float)
-    if y.ndim != 1:
-        raise ValueError("expected a single curve")
-    fitted, coef, lam = penalized_fit_rows(y[np.newaxis], config, x)
-    return fitted[0], coef[0], float(lam[0])
 
 
 def _pava(y: list) -> list:
@@ -248,29 +219,14 @@ def _monotone_tail(fitted: np.ndarray, ages: np.ndarray, config: SmoothConfig) -
     return fitted
 
 
-def smooth_curve(
-    log_rates_row: np.ndarray, config: SmoothConfig, ages: np.ndarray | None = None
-) -> np.ndarray:
-    """Smooth one year's log-rate curve.
-
-    ``ages`` defaults to ``0..J-1``; it determines where the monotone tail
-    constraint starts.  The constraint replaces fitted values at ages >=
-    ``config.monotone_from_age`` with their isotonic projection, which makes
-    every first difference in that range non-negative.
-    """
-    y = np.asarray(log_rates_row, dtype=float)
-    if ages is None:
-        ages = np.arange(y.size)
-    ages = np.asarray(ages)
-    fitted, _, _ = penalized_fit(y, config, x=ages.astype(float))
-    return _monotone_tail(fitted[np.newaxis], ages, config)[0]
-
-
 def smooth_surface(surface, config: SmoothConfig | None = None):
-    """Smooth every year of a surface, as :func:`smooth_curve` would one by one.
+    """Smooth each year's curve of a surface on its own.
 
     Returns the smoothed surface (kind ``smoothed``) and the
-    :class:`ResidualField` of absolute deviations from the input.
+    :class:`ResidualField` of absolute deviations from the input.  Fitted
+    values at ages >= ``config.monotone_from_age`` are replaced with their
+    isotonic projection, which makes every first difference in that range
+    non-negative.
     """
     if config is None:
         config = SmoothConfig()
@@ -282,4 +238,4 @@ def smooth_surface(surface, config: SmoothConfig | None = None):
     fitted, _, _ = penalized_fit_rows(rates, config, x=surface.ages.astype(float))
     fitted = _monotone_tail(fitted, surface.ages, config)
     smoothed = replace(surface, log_rates=fitted, kind="smoothed")
-    return smoothed, residual_field(rates, fitted)
+    return smoothed, ResidualField(sigma=np.abs(rates - fitted))

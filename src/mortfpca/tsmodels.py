@@ -473,11 +473,6 @@ def _fit_cells_many(series_list, cell_lists, modes) -> list:
             in zip(series_list, cell_lists, modes, starts)]
 
 
-def _fit_cells(series: np.ndarray, cells, mode: str) -> list:
-    """CSS fits of the (p, d, q, include_drift) ``cells`` on one ``series``."""
-    return _fit_cells_many([series], [cells], [mode])[0]
-
-
 def _validate_series(series) -> np.ndarray:
     series = np.asarray(series, dtype=float)
     if series.ndim != 1:
@@ -506,7 +501,8 @@ def fit_spec(
         raise ValueError("drift is only defined for d <= 1")
     if series.size < MIN_OBS:
         raise SeriesTooShort(f"need at least {MIN_OBS} observations, got {series.size}")
-    (spec,) = _fit_cells(series, [(p, d, q, bool(include_drift))], mode)
+    cell = (p, d, q, bool(include_drift))
+    ((spec,),) = _fit_cells_many([series], [[cell]], [mode])
     if isinstance(spec, str):
         raise OptimFailed(spec)
     return spec

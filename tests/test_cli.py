@@ -28,6 +28,7 @@ from mortfpca.hmd import (
     read_surface_csv,
     write_surface_csv,
 )
+from mortfpca.synthetic import synthetic_bundle
 
 ERROR_RE = re.compile(r'^error module=\w+ type=\w+ msg="[^"]*"$')
 
@@ -443,6 +444,36 @@ def test_evaluate_tunes_kappa_on_a_holdout(tmp_path, obs_dir, capsys, monkeypatc
     assert row.endswith(",2,0.35")
 
 
+def test_evaluate_checks_the_design_before_tuning_kappa(tmp_path, capsys):
+    # 25 windows leave no tuning years before the holdout: one error line, no traceback
+    data = tmp_path / "data"
+    data.mkdir()
+    for surface in synthetic_bundle(seed=1, n_years=20, max_age=40):
+        write_surface_csv(surface, data / f"{surface.population_id}.csv")
+    rc = main(["evaluate", "--data", str(data), "--out", str(tmp_path / "out"),
+               "--model", "wmfpca", "--kappa", "auto", "--h", "2", "--windows", "25"])
+    assert rc == 1
+    assert_error_line(capsys, "evaluation", "InsufficientSpan")
+    assert not (tmp_path / "out" / "eval.csv").exists()
+
+
+@pytest.mark.parametrize("name", ["Sweden,1950", "New Zealand"])
+def test_evaluate_label_from_data_follows_the_country_rule(tmp_path, obs_dir, name, capsys):
+    # with no --country the basename of --data labels the eval.csv rows
+    data = tmp_path / name
+    data.mkdir()
+    for p in obs_dir.iterdir():
+        (data / p.name).write_bytes(p.read_bytes())
+    rc = main(["evaluate", "--data", str(data), "--out", str(tmp_path / "out"),
+               "--model", "independent", "--h", "2", "--windows", "2"])
+    assert rc == 1
+    assert_error_line(capsys, "cli", "ConfigError")
+    assert not (tmp_path / "out").exists()
+    assert main(["evaluate", "--data", str(data), "--out", str(tmp_path / "out"),
+                 "--model", "independent", "--h", "2", "--windows", "2",
+                 "--country", "SWE"]) == 0
+
+
 # -- diagnose ----------------------------------------------------------------
 
 
@@ -705,3 +736,19 @@ def test_cli_import_loads_neither_scipy_signal_nor_stats():
             "print(sorted(m for m in sys.modules if m.split('.')[:2] in (['scipy', 'signal'], ['scipy', 'stats'])))")
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "[]"
+
+
+def test_every_function_the_bench_tracer_wraps_exists():
+    # bench/tracer.py wraps these by module and name; it is loaded by path, not run
+    import importlib.util
+
+    import mortfpca.cli  # noqa: F401  (imports every layer module)
+
+    path = pathlib.Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer_names", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    targets = tracer.Tracer("t")._targets()
+    assert len(targets) >= 15
+    for module, function, *_ in targets:
+        assert callable(getattr(sys.modules[module], function, None)), f"{module}.{function}"

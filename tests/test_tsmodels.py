@@ -28,7 +28,7 @@ from mortfpca.tsmodels import (
     _css_jacobian,
     _css_residuals,
     _fallback_spec,
-    _fit_cells,
+    _fit_cells_many,
     _grid,
     _layout,
     _levenberg_marquardt,
@@ -325,7 +325,7 @@ def test_pure_ar_cell_is_the_least_squares_solution(order, include_drift):
 def test_accepted_ma_cells_are_first_order_optimal(seed, ar, ma):
     series = np.cumsum(arma_series(ar, ma, 0.2, 60, seed=seed))
     cells = [cell for cell in _grid("nonstationary") if cell[2] > 0]
-    fits = _fit_cells(series, cells, "nonstationary")
+    (fits,) = _fit_cells_many([series], [cells], ["nonstationary"])
     cells, specs = zip(*[(c, f) for c, f in zip(cells, fits) if isinstance(f, ArimaSpec)])
     assert len(specs) >= 10
     w, real, free = _layout(series, cells)
@@ -352,7 +352,7 @@ def test_batched_search_matches_the_scalar_fitter(d, drift, seed, ar, ma):
         series = np.cumsum(series)
     for mode in MODES:
         grid = _grid(mode)
-        batch = _fit_cells(series, grid, mode)
+        (batch,) = _fit_cells_many([series], [grid], [mode])
         reference = [ref_fit_cell(series, p, dd, q, dr, mode) for p, dd, q, dr in grid]
         assert [isinstance(b, ArimaSpec) for b in batch] == [r is not None for r in reference]
         for b, r in zip(batch, reference):
@@ -531,7 +531,7 @@ def test_fit_auto_many_equals_fit_auto_per_series():
     modes = ["nonstationary", "stationary", "stationary", "stationary", "nonstationary",
              "nonstationary"]
     with np.errstate(over="ignore", invalid="ignore"):
-        spike_cells = _fit_cells(spike, _grid("stationary"), "stationary")
+        (spike_cells,) = _fit_cells_many([spike], [_grid("stationary")], ["stationary"])
         assert not any(isinstance(r, ArimaSpec) and r.q for r in spike_cells)
         alone = [fit_auto(s, m) for s, m in zip(series, modes)]
         together = fit_auto_many(series, modes)
