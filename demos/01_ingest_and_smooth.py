@@ -4,7 +4,7 @@ The demo builds a synthetic death-rate file in the standard whitespace
 layout, parses it into per-population year-by-age grids, fills the missing
 cells, and runs the penalized-spline smoother whose roughness penalty is
 chosen per year by generalized cross validation.  Old-age rates are kept
-monotone by an isotonic pass above the configured age.
+monotone by an isotonic pass from age 65 on.
 """
 
 import pathlib
@@ -12,7 +12,7 @@ import pathlib
 import numpy as np
 
 from mortfpca.hmd import impute_missing, parse_hmd_rates
-from mortfpca.smoothing import SmoothConfig, smooth_surface
+from mortfpca.smoothing import smooth_surface
 from mortfpca.svgplot import line_chart
 from mortfpca.synthetic import hmd_text_from_bundle, synthetic_bundle
 
@@ -32,7 +32,7 @@ print(f"grid: {bundle.years[0]}..{bundle.years[-1]} x ages 0..{bundle.ages[-1]}"
 female = impute_missing(bundle[bundle.population_ids.index("female")])
 
 # 3. smooth each year's curve; the residual field feeds interval widths later
-smoothed, residuals = smooth_surface(female, SmoothConfig(monotone_from_age=65))
+smoothed, residuals = smooth_surface(female)
 print(f"\nmean absolute smoothing residual: {residuals.sigma.mean():.4f}")
 print(f"residual scale by age (first 5): {np.round(residuals.sigma_avg[:5], 4)}")
 

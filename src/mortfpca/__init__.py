@@ -30,7 +30,7 @@ from .hmd import (
     write_surface_csv,
 )
 from .mfpca import fit_mfpca
-from .smoothing import ResidualField, SmoothConfig, smooth_surface
+from .smoothing import ResidualField, smooth_surface
 from .synthetic import hmd_text_from_bundle, synthetic_bundle
 from .tsmodels import (
     ArimaSpec,
@@ -67,7 +67,6 @@ __all__ = [
     "MortalitySurface",
     "ResidualField",
     "ScoreForecast",
-    "SmoothConfig",
     "SurfaceBundle",
     "WeightScheme",
     "fit_auto",

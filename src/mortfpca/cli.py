@@ -16,9 +16,8 @@ Data directories hold one ``<population_id>.csv`` per population (schema
 ``year,age,log_rate``, kind tag in a leading comment) plus, after
 ``smooth``, one ``<population_id>.sigma.csv`` with the absolute smoothing
 residuals.  Commands that need smoothed input accept an observed directory
-and smooth it on the fly with default settings.  ``smooth`` and
-``evaluate`` need observed input, and no command reads a directory that
-mixes the two kinds.
+and smooth it on the fly.  ``smooth`` and ``evaluate`` need observed input,
+and no command reads a directory that mixes the two kinds.
 """
 
 from __future__ import annotations
@@ -94,7 +93,6 @@ class RunConfig:
     ncomp: int | None = _setting(None, "fixed component count override", int)
     alpha: float = _setting(0.05, "two-sided interval miss probability", float)
     windows: int = _setting(10, "rolling evaluation window count", int)
-    seed: int = _setting(0, "accepted and ignored: no step is random", int)
     plot: bool = _setting(False, "also write SVG charts", _flag,
                           action="store_const", const="true")
     weight_power: float = _setting(1.0, "1.0 scales centered curves by w_t, 0.5 by sqrt(w_t)",

@@ -27,7 +27,7 @@ from .components import ComponentRule
 from .errors import InsufficientSpan, KappaOutOfRange
 from .forecasters import MODELS, WEIGHTED_MODELS, _fit_models, predict_interval
 from .hmd import SurfaceBundle
-from .smoothing import SmoothConfig, smooth_surface
+from .smoothing import smooth_surface
 from .tsmodels import MIN_OBS
 
 #: default decay-rate candidates: 0.05, 0.10, ..., 0.95
@@ -47,11 +47,11 @@ class EvalReport:
     avg_rmse: float
 
 
-def smooth_bundle(surfaces, smooth_config: SmoothConfig | None = None):
+def smooth_bundle(surfaces):
     """Smooth each surface; returns the smoothed bundle and its residual fields."""
     smoothed, fields = [], []
     for surface in surfaces:
-        s, f = smooth_surface(surface, smooth_config)
+        s, f = smooth_surface(surface)
         smoothed.append(s)
         fields.append(f)
     return SurfaceBundle(smoothed), fields
@@ -117,7 +117,6 @@ def rolling_rmse(
     windows: int = 10,
     kappa: float | None = None,
     rule: ComponentRule | None = None,
-    smooth_config: SmoothConfig | None = None,
     weight_power: float = 1.0,
     country: str = "",
 ) -> EvalReport:
@@ -128,7 +127,7 @@ def rolling_rmse(
     raw observed curves of the target year.
     """
     _check_design(bundle, model, h, windows)
-    smoothed, _ = smooth_bundle(bundle, smooth_config)
+    smoothed, _ = smooth_bundle(bundle)
     return _rolling_report(bundle, smoothed, model, h, windows, [kappa], rule, weight_power,
                            country)[0]
 
@@ -140,7 +139,6 @@ def tune_kappa(
     grid=None,
     windows: int = 10,
     rule: ComponentRule | None = None,
-    smooth_config: SmoothConfig | None = None,
     weight_power: float = 1.0,
 ) -> float:
     """Decay rate from ``grid`` minimizing the rolling average RMSE.
@@ -159,7 +157,7 @@ def tune_kappa(
     if not np.all((grid > 0) & (grid < 1)):
         raise KappaOutOfRange("kappa candidates must lie in (0, 1)")
     _check_design(bundle, model, h, windows)
-    smoothed, _ = smooth_bundle(bundle, smooth_config)
+    smoothed, _ = smooth_bundle(bundle)
     kappas = [float(kappa) for kappa in np.unique(grid)]
     reports = _rolling_report(bundle, smoothed, model, h, windows, kappas, rule, weight_power)
     best_kappa, best_rmse = None, np.inf

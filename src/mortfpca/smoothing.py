@@ -3,9 +3,11 @@
 Each year's curve is smoothed independently: cubic B-splines on an equally
 spaced knot grid, a second-order difference penalty on the coefficients, and
 the penalty weight chosen by generalized cross-validation over a fixed
-lambda grid.  Old-age log rates are expected to rise, so fitted values above
-``monotone_from_age`` are projected onto the non-decreasing cone with
-pool-adjacent-violators (PAVA).
+lambda grid.  The basis has ``MAX_BASIS_DIM`` functions, or one per age on
+a shorter age grid, and the penalty does the smoothing.  Old-age log rates
+are expected to rise, so fitted values at ages ``MONOTONE_FROM_AGE`` and
+above are projected onto the non-decreasing cone with pool-adjacent-violators
+(PAVA).
 
 Both building blocks are numpy and pure Python, bitwise equal to SciPy's.
 The design matrix is the Cox-de Boor recurrence in the operation order of
@@ -30,24 +32,14 @@ import numpy as np
 from .errors import NonFiniteInput, SingularSystem
 
 SPLINE_DEGREE = 3
+#: the most B-spline functions a curve is fitted with; fewer ages get one each
+MAX_BASIS_DIM = 30
 #: order of the difference penalty on the spline coefficients
 PENALTY_ORDER = 2
 #: penalty weights GCV chooses among, smallest first
 LAMBDA_GRID = np.logspace(-4.0, 4.0, 20)
-
-
-@dataclass
-class SmoothConfig:
-    """The smoothing settings that depend on the age grid of the input."""
-
-    basis_dim: int = 30
-    monotone_from_age: int = 65
-
-    def __post_init__(self):
-        if self.basis_dim < SPLINE_DEGREE + 1:
-            raise ValueError(f"basis_dim must be >= {SPLINE_DEGREE + 1}, got {self.basis_dim}")
-        if not 0 <= self.monotone_from_age <= 100:
-            raise ValueError("monotone_from_age must lie in 0..100")
+#: fitted values at this age and above are made non-decreasing
+MONOTONE_FROM_AGE = 65
 
 
 @dataclass(eq=False)
@@ -107,11 +99,13 @@ def difference_penalty(basis_dim: int, order: int) -> np.ndarray:
     return d.T @ d
 
 
-def penalized_fit_rows(rows: np.ndarray, config: SmoothConfig, x: np.ndarray):
+def penalized_fit_rows(rows: np.ndarray, x: np.ndarray):
     """GCV-chosen penalized spline fit of each row of a T x n array, sampled at ``x``.
 
-    Each row gets the first lambda of ``LAMBDA_GRID`` at which its GCV
-    score reaches its minimum, as if it were fitted on its own.
+    The basis has ``min(MAX_BASIS_DIM, n)`` functions; a cubic basis needs
+    ``n >= SPLINE_DEGREE + 1``.  Each row gets the first lambda of
+    ``LAMBDA_GRID`` at which its GCV score reaches its minimum, as if it
+    were fitted on its own.
 
     Returns
     -------
@@ -128,19 +122,18 @@ def penalized_fit_rows(rows: np.ndarray, config: SmoothConfig, x: np.ndarray):
     if not np.all(np.isfinite(rows)):
         raise NonFiniteInput("curve contains non-finite values")
     n_rows, n = rows.shape
-    if n < config.basis_dim:
-        raise SingularSystem(
-            f"{n} observations cannot support basis_dim={config.basis_dim}"
-        )
+    if n < SPLINE_DEGREE + 1:
+        raise SingularSystem(f"a cubic spline needs at least {SPLINE_DEGREE + 1} ages, got {n}")
+    basis_dim = min(MAX_BASIS_DIM, n)
 
-    design = bspline_design(x, config.basis_dim)
-    penalty = difference_penalty(config.basis_dim, PENALTY_ORDER)
+    design = bspline_design(x, basis_dim)
+    penalty = difference_penalty(basis_dim, PENALTY_ORDER)
     btb = design.T @ design
     bty = design.T @ rows.T
 
     best_gcv = None
     best_fitted = np.empty((n_rows, n))
-    best_coef = np.empty((n_rows, config.basis_dim))
+    best_coef = np.empty((n_rows, basis_dim))
     best_lam = np.empty(n_rows)
     for lam in LAMBDA_GRID:
         system = btb + lam * penalty
@@ -207,9 +200,9 @@ def _pava(y: list) -> list:
     return x
 
 
-def _monotone_tail(fitted: np.ndarray, ages: np.ndarray, config: SmoothConfig) -> np.ndarray:
-    """Project each row's values at ages >= ``monotone_from_age``, in place."""
-    tail = np.flatnonzero(ages >= config.monotone_from_age)
+def _monotone_tail(fitted: np.ndarray, ages: np.ndarray) -> np.ndarray:
+    """Project each row's values at ages >= ``MONOTONE_FROM_AGE``, in place."""
+    tail = np.flatnonzero(ages >= MONOTONE_FROM_AGE)
     if tail.size > 1:
         # a strictly increasing tail is its own projection; ties still go
         # through PAVA, whose pooled mean of equal values can round
@@ -219,23 +212,21 @@ def _monotone_tail(fitted: np.ndarray, ages: np.ndarray, config: SmoothConfig) -
     return fitted
 
 
-def smooth_surface(surface, config: SmoothConfig | None = None):
+def smooth_surface(surface):
     """Smooth each year's curve of a surface on its own.
 
     Returns the smoothed surface (kind ``smoothed``) and the
     :class:`ResidualField` of absolute deviations from the input.  Fitted
-    values at ages >= ``config.monotone_from_age`` are replaced with their
+    values at ages >= ``MONOTONE_FROM_AGE`` are replaced with their
     isotonic projection, which makes every first difference in that range
     non-negative.
     """
-    if config is None:
-        config = SmoothConfig()
     rates = surface.log_rates
     if not np.all(np.isfinite(rates)):
         raise NonFiniteInput(
             f"{surface.population_id}: impute missing values before smoothing"
         )
-    fitted, _, _ = penalized_fit_rows(rates, config, x=surface.ages.astype(float))
-    fitted = _monotone_tail(fitted, surface.ages, config)
+    fitted, _, _ = penalized_fit_rows(rates, x=surface.ages.astype(float))
+    fitted = _monotone_tail(fitted, surface.ages)
     smoothed = replace(surface, log_rates=fitted, kind="smoothed")
     return smoothed, ResidualField(sigma=np.abs(rates - fitted))

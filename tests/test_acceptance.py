@@ -401,10 +401,8 @@ def test_criterion_8_determinism(acceptance_report, tmp_path):
     smo = [tmp_path / "smo_a", tmp_path / "smo_b"]
     commands_equal = True
     for run in range(2):
-        assert main(["ingest", "--data", str(raw), "--out", str(obs[run]),
-                     "--seed", "0"]) == 0
-        assert main(["smooth", "--data", str(obs[run]), "--out", str(smo[run]),
-                     "--seed", "0"]) == 0
+        assert main(["ingest", "--data", str(raw), "--out", str(obs[run])]) == 0
+        assert main(["smooth", "--data", str(obs[run]), "--out", str(smo[run])]) == 0
     pairs = [(obs[0], obs[1]), (smo[0], smo[1])]
     for command, extra in (
         ("forecast", ["--model", "independent", "--h", "2"]),
@@ -416,7 +414,7 @@ def test_criterion_8_determinism(acceptance_report, tmp_path):
         source = obs if command == "evaluate" else smo
         for run in range(2):
             assert main([command, "--data", str(source[run]), "--out",
-                         str(outs[run]), "--seed", "0"] + extra) == 0
+                         str(outs[run])] + extra) == 0
         pairs.append((outs[0], outs[1]))
     for left, right in pairs:
         tree_left = {p.name: p.read_bytes() for p in sorted(left.iterdir())}

@@ -189,6 +189,27 @@ def test_smoothing_tracks_the_observed_surface(obs_dir, smooth_dir):
     assert np.max(np.abs(err)) < 0.3
 
 
+@pytest.mark.parametrize("max_age", ["20", "28"])
+def test_ingest_below_thirty_ages_smooths_and_forecasts(tmp_path, raw_path, max_age):
+    # the spline basis shrinks to one function per age on a short grid
+    obs, smo, fc = tmp_path / "obs", tmp_path / "smo", tmp_path / "fc"
+    assert main(["ingest", "--data", str(raw_path), "--out", str(obs), "--max-age", max_age]) == 0
+    assert main(["smooth", "--data", str(obs), "--out", str(smo)]) == 0
+    assert main(["forecast", "--data", str(obs), "--out", str(fc), "--model", "independent"]) == 0
+    assert read_surface_csv(smo / "female.csv").ages[-1] == int(max_age)
+
+
+def test_fewer_than_four_ages_cannot_be_smoothed(tmp_path, raw_path, capsys):
+    obs = tmp_path / "obs"
+    assert main(["ingest", "--data", str(raw_path), "--out", str(obs), "--max-age", "2"]) == 0
+    capsys.readouterr()
+    assert main(["smooth", "--data", str(obs), "--out", str(tmp_path / "smo")]) == 1
+    err = capsys.readouterr().err.strip()
+    assert ERROR_RE.match(err), err
+    assert err.startswith("error module=smoothing type=SingularSystem ")
+    assert 'msg="a cubic spline needs at least 4 ages, got 3"' in err
+
+
 # -- fit ---------------------------------------------------------------------
 
 
@@ -596,6 +617,18 @@ def test_config_file_errors(tmp_path, body, capsys):
     assert_error_line(capsys, "cli", "ConfigError")
 
 
+def test_seed_is_not_a_setting(tmp_path, capsys):
+    # no step draws random numbers, so there is no seed to set
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed = 5\n")
+    rc = main(["smooth", "--config", str(cfg), "--data", str(tmp_path),
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err.strip()
+    assert ERROR_RE.match(err), err
+    assert err == f'error module=cli type=ConfigError msg="{cfg}:1: unknown key \'seed\'"'
+
+
 def test_missing_config_file_is_a_config_error(tmp_path, capsys):
     rc = main(["smooth", "--config", str(tmp_path / "nope.cfg"),
                "--data", str(tmp_path), "--out", str(tmp_path / "out")])
@@ -658,7 +691,7 @@ def test_bad_flag_values_fail_with_one_error_line(tmp_path, extra, capsys):
 SETTING_TEXTS = [
     ("data", "surfaces"), ("out", "results"), ("model", "coherent"), ("h", "7"),
     ("kappa", "0.3"), ("kappa", "auto"), ("var_threshold", "0.8"), ("ncomp", "3"),
-    ("alpha", "0.1"), ("windows", "4"), ("seed", "5"), ("plot", "true"),
+    ("alpha", "0.1"), ("windows", "4"), ("plot", "true"),
     ("weight_power", "0.5"), ("country", "NZL"), ("max_age", "90"),
 ]
 

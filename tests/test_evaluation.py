@@ -8,9 +8,6 @@ from mortfpca import forecasters
 from mortfpca.errors import InsufficientSpan, KappaOutOfRange
 from mortfpca.evaluation import DEFAULT_KAPPA_GRID, rolling_rmse, tune_kappa
 from mortfpca.hmd import MortalitySurface, SurfaceBundle
-from mortfpca.smoothing import SmoothConfig
-
-CONFIG = SmoothConfig(basis_dim=6)
 
 
 def constant_bundle(n_years=16, n_ages=8, levels=(-4.0, -3.0)):
@@ -50,9 +47,7 @@ class _Recorder:
 
 
 def test_constant_surfaces_evaluate_to_zero_rmse():
-    report = rolling_rmse(
-        constant_bundle(), "independent", h=1, windows=2, smooth_config=CONFIG
-    )
+    report = rolling_rmse(constant_bundle(), "independent", h=1, windows=2)
     # constants survive smoothing and forecasting up to solver rounding
     assert set(report.rmse) == {"pop0", "pop1"}
     assert all(v < 1e-12 for v in report.rmse.values())
@@ -67,9 +62,7 @@ def test_injected_offset_is_recovered_exactly(monkeypatch):
     recorder = _Recorder(offset=0.3)
     monkeypatch.setattr(evaluation, "_fit_models", recorder.fit)
     monkeypatch.setattr(evaluation, "predict_interval", recorder.predict)
-    report = rolling_rmse(
-        constant_bundle(), "wmfpca", h=2, windows=3, kappa=0.5, smooth_config=CONFIG
-    )
+    report = rolling_rmse(constant_bundle(), "wmfpca", h=2, windows=3, kappa=0.5)
     # every age in every window misses by exactly the offset
     assert np.isclose(report.rmse["pop0"], 0.3, atol=1e-12)
     assert np.isclose(report.rmse["pop1"], 0.3, atol=1e-12)
@@ -82,7 +75,7 @@ def test_windows_tile_the_final_years(monkeypatch):
     monkeypatch.setattr(evaluation, "_fit_models", recorder.fit)
     monkeypatch.setattr(evaluation, "predict_interval", recorder.predict)
     bundle = constant_bundle(n_years=20)  # years 2000..2019
-    rolling_rmse(bundle, "independent", h=3, windows=4, smooth_config=CONFIG)
+    rolling_rmse(bundle, "independent", h=3, windows=4)
     # training always starts at the first year and ends one year later per
     # window; the h-step targets tile the last 4 observed years
     assert recorder.train_spans == [
@@ -103,9 +96,7 @@ def test_pooled_rmse_arithmetic(monkeypatch):
 
     monkeypatch.setattr(evaluation, "_fit_models", recorder.fit)
     monkeypatch.setattr(evaluation, "predict_interval", predict)
-    report = rolling_rmse(
-        constant_bundle(), "independent", h=1, windows=2, smooth_config=CONFIG
-    )
+    report = rolling_rmse(constant_bundle(), "independent", h=1, windows=2)
     expected = np.sqrt((0.1**2 + 0.3**2) / 2)
     assert np.isclose(report.rmse["pop0"], expected, atol=1e-12)
 
@@ -113,12 +104,9 @@ def test_pooled_rmse_arithmetic(monkeypatch):
 def test_insufficient_span_raises():
     bundle = constant_bundle(n_years=14)
     with pytest.raises(InsufficientSpan):
-        rolling_rmse(bundle, "independent", h=3, windows=3, smooth_config=CONFIG)
+        rolling_rmse(bundle, "independent", h=3, windows=3)
     # one year more is enough: 14 - 3 - 3 + 1 = 9 < 10 <= 15 - 3 - 3 + 1
-    rolling_rmse(
-        constant_bundle(n_years=15), "independent", h=3, windows=3,
-        smooth_config=CONFIG,
-    )
+    rolling_rmse(constant_bundle(n_years=15), "independent", h=3, windows=3)
 
 
 def test_rolling_rmse_validation():
@@ -143,8 +131,7 @@ def test_tune_kappa_minimizes_rolling_rmse(monkeypatch):
         ) for kappa in kappas]
 
     monkeypatch.setattr(evaluation, "_rolling_report", fake_rolling)
-    best = tune_kappa(constant_bundle(), "wmfpca", h=1, grid=[0.5, 0.2, 0.35], windows=2,
-                      smooth_config=CONFIG)
+    best = tune_kappa(constant_bundle(), "wmfpca", h=1, grid=[0.5, 0.2, 0.35], windows=2)
     assert best == 0.35
     assert seen == [0.2, 0.35, 0.5]  # exhaustive, in sorted order
 
@@ -158,26 +145,23 @@ def test_tune_kappa_ties_resolve_to_smallest(monkeypatch):
         ) for kappa in kappas]
 
     monkeypatch.setattr(evaluation, "_rolling_report", fake_rolling)
-    assert tune_kappa(constant_bundle(), "wmfpca", h=1, grid=[0.9, 0.4, 0.6], windows=2,
-                      smooth_config=CONFIG) == 0.4
+    assert tune_kappa(constant_bundle(), "wmfpca", h=1, grid=[0.9, 0.4, 0.6], windows=2) == 0.4
 
 
 def test_tune_kappa_smooths_once_and_matches_rolling_rmse(monkeypatch, small_observed):
-    config = SmoothConfig(basis_dim=8)
     grid = [0.2, 0.5, 0.8]
     expected = min(grid, key=lambda k: rolling_rmse(
-        small_observed, "wmfpca", h=1, windows=1, kappa=k, smooth_config=config).avg_rmse)
+        small_observed, "wmfpca", h=1, windows=1, kappa=k).avg_rmse)
 
     calls = []
     real_smooth = evaluation.smooth_surface
 
-    def counting_smooth(surface, config=None):
+    def counting_smooth(surface):
         calls.append(surface.population_id)
-        return real_smooth(surface, config)
+        return real_smooth(surface)
 
     monkeypatch.setattr(evaluation, "smooth_surface", counting_smooth)
-    best = tune_kappa(small_observed, "wmfpca", h=1, grid=grid, windows=1,
-                      smooth_config=config)
+    best = tune_kappa(small_observed, "wmfpca", h=1, grid=grid, windows=1)
     assert calls == ["female", "male"]  # one smoothing per population, not per kappa
     assert best == expected
 
@@ -195,10 +179,9 @@ def test_tune_kappa_grid_validation():
 def test_tune_kappa_rejects_nan_before_smoothing_and_fits_each_kappa_once(monkeypatch):
     smoothed = []
     monkeypatch.setattr(evaluation, "smooth_surface",
-                        lambda surface, config=None: smoothed.append(surface))
+                        lambda surface: smoothed.append(surface))
     with pytest.raises(KappaOutOfRange):
-        tune_kappa(constant_bundle(), "wmfpca", h=1, grid=[0.5, np.nan], windows=2,
-                   smooth_config=CONFIG)
+        tune_kappa(constant_bundle(), "wmfpca", h=1, grid=[0.5, np.nan], windows=2)
     assert smoothed == []  # rejected before any work
     monkeypatch.undo()
 
@@ -213,15 +196,14 @@ def test_tune_kappa_rejects_nan_before_smoothing_and_fits_each_kappa_once(monkey
         ) for kappa in kappas]
 
     monkeypatch.setattr(evaluation, "_rolling_report", fake_rolling)
-    best = tune_kappa(constant_bundle(), "wmfpca", h=1, grid=[0.5, 0.2, 0.5, 0.2], windows=2,
-                      smooth_config=CONFIG)
+    best = tune_kappa(constant_bundle(), "wmfpca", h=1, grid=[0.5, 0.2, 0.5, 0.2], windows=2)
     assert best == 0.5
     assert seen == [[0.2, 0.5]]
 
 
 @pytest.mark.parametrize("model", ["wmfpca", "coherent"])
 def test_tune_kappa_batch_equals_one_kappa_reports(model, monkeypatch, small_observed):
-    config, grid, windows = SmoothConfig(basis_dim=8), [0.8, 0.2, 0.5], 2
+    grid, windows = [0.8, 0.2, 0.5], 2
     batches = []
     real_rolling = evaluation._rolling_report
 
@@ -238,12 +220,12 @@ def test_tune_kappa_batch_equals_one_kappa_reports(model, monkeypatch, small_obs
 
     monkeypatch.setattr(evaluation, "_rolling_report", keep_reports)
     monkeypatch.setattr(forecasters, "fit_auto_many", spy)
-    tune_kappa(small_observed, model, h=1, grid=grid, windows=windows, smooth_config=config)
+    tune_kappa(small_observed, model, h=1, grid=grid, windows=windows)
     monkeypatch.undo()
 
     # one order search per window, holding every kappa's columns in kappa order
     assert len(searches) == windows
-    smoothed, _ = evaluation.smooth_bundle(small_observed, config)
+    smoothed, _ = evaluation.smooth_bundle(small_observed)
     first_year, last_year = int(small_observed.years[0]), int(small_observed.years[-1])
     for w, (series_list, modes) in enumerate(searches):
         training = smoothed.subset_years(first_year, last_year - windows + w)
@@ -260,8 +242,7 @@ def test_tune_kappa_batch_equals_one_kappa_reports(model, monkeypatch, small_obs
     [reports] = batches
     assert [r.kappa for r in reports] == sorted(grid)
     for report in reports:
-        alone = rolling_rmse(small_observed, model, h=1, windows=windows, kappa=report.kappa,
-                             smooth_config=config)
+        alone = rolling_rmse(small_observed, model, h=1, windows=windows, kappa=report.kappa)
         assert report.rmse == alone.rmse
         assert report.avg_rmse == alone.avg_rmse
 
@@ -274,10 +255,8 @@ def test_default_grid_spans_open_interval():
 
 
 def test_end_to_end_rolling_on_synthetic(small_observed):
-    # real pipeline, tiny smoothing basis for speed
     report = rolling_rmse(
-        small_observed, "coherent", h=1, windows=2, kappa=0.5,
-        smooth_config=SmoothConfig(basis_dim=8), country="synthetic",
+        small_observed, "coherent", h=1, windows=2, kappa=0.5, country="synthetic",
     )
     assert set(report.rmse) == {"female", "male"}
     assert all(np.isfinite(v) and v > 0 for v in report.rmse.values())
@@ -292,6 +271,5 @@ def test_tune_kappa_rejects_models_that_ignore_kappa(model, monkeypatch):
     fits = []
     monkeypatch.setattr(evaluation, "_fit_models", lambda *args, **kwargs: fits.append(args))
     with pytest.raises(ValueError, match="weight years by kappa"):
-        tune_kappa(constant_bundle(), model, h=1, grid=[0.2, 0.8], windows=2,
-                   smooth_config=CONFIG)
+        tune_kappa(constant_bundle(), model, h=1, grid=[0.2, 0.8], windows=2)
     assert fits == []  # rejected before any rolling fit

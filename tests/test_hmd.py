@@ -32,7 +32,7 @@ from mortfpca.hmd import (
     write_matrix_csv,
     write_surface_csv,
 )
-from mortfpca.smoothing import SmoothConfig, smooth_surface
+from mortfpca.smoothing import smooth_surface
 from mortfpca.store import save_forecast_surface
 from mortfpca.synthetic import hmd_text_from_bundle, synthetic_bundle
 
@@ -641,7 +641,7 @@ def test_ingest_and_smooth_write_the_reference_bytes(tmp_path, seed):
         reference_write_grid(ref / f"{pid}.csv", [f"# population_id={pid} kind=observed",
                                                   CSV_HEADER], years, ages, observed.log_rates)
         comment, y, a, grid = reference_read_grid(ref / f"{pid}.csv", "log_rate")
-        smoothed, field = smooth_surface(MortalitySurface(pid, y, a, grid), SmoothConfig())
+        smoothed, field = smooth_surface(MortalitySurface(pid, y, a, grid))
         reference_write_grid(ref / f"{pid}.smoothed.csv", [f"# population_id={pid} kind=smoothed",
                                                            CSV_HEADER], y, a, smoothed.log_rates)
         reference_write_grid(ref / f"{pid}.sigma.csv", ["year,age,sigma"], y, a, field.sigma)

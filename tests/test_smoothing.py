@@ -15,19 +15,21 @@ from scipy.optimize import isotonic_regression
 import mortfpca
 
 from mortfpca.errors import NonFiniteInput, SingularSystem
+from mortfpca.evaluation import smooth_bundle
 from mortfpca.hmd import MortalitySurface
 from mortfpca.smoothing import (
     LAMBDA_GRID,
+    MONOTONE_FROM_AGE,
     PENALTY_ORDER,
     SPLINE_DEGREE,
     ResidualField,
-    SmoothConfig,
     bspline_design,
     _monotone_tail,
     difference_penalty,
     penalized_fit_rows,
     smooth_surface,
 )
+from mortfpca.synthetic import synthetic_bundle
 
 # frozen D'D for a second-order difference penalty on five coefficients
 PENALTY_5_2 = np.array(
@@ -121,7 +123,7 @@ def pava_reference(y):
 def project_tail(y):
     """The monotone-tail projection of one curve whose every age is in the tail."""
     y = np.array(y, dtype=float)
-    return _monotone_tail(y[np.newaxis], np.arange(y.size), SmoothConfig(monotone_from_age=0))[0]
+    return _monotone_tail(y[np.newaxis], MONOTONE_FROM_AGE + np.arange(y.size))[0]
 
 
 def test_pava_frozen_examples():
@@ -171,7 +173,7 @@ def test_monotone_tail_pools_non_decreasing_ties_as_scipy_does():
 
 def test_monotone_tail_projects_only_the_tail_of_each_row():
     rows = np.array([[5.0, 1.0, 3.0, 2.0, 4.0], [1.0, 0.0, 1.0, 2.0, 3.0]])
-    out = _monotone_tail(rows.copy(), np.arange(5), SmoothConfig(monotone_from_age=2))
+    out = _monotone_tail(rows.copy(), np.arange(63, 68))
     assert_bitwise_equal(out[:, :2], rows[:, :2])
     assert_bitwise_equal(out[0, 2:], isotonic_regression(rows[0, 2:]).x)
     assert_bitwise_equal(out[1], rows[1])
@@ -201,11 +203,12 @@ def test_import_leaves_out_scipy_special():
     assert out.stdout.strip() == "False"
 
 
-def _gcv_oracle(y, config, x=None):
+def _gcv_oracle(y, x=None):
     """Recompute the GCV path directly from the normal equations."""
     x = np.arange(y.size, dtype=float) if x is None else x
-    design = bspline_design(x, config.basis_dim)
-    penalty = difference_penalty(config.basis_dim, PENALTY_ORDER)
+    basis_dim = min(30, y.size)
+    design = bspline_design(x, basis_dim)
+    penalty = difference_penalty(basis_dim, PENALTY_ORDER)
     btb, bty, n = design.T @ design, design.T @ y, y.size
     scores = []
     for lam in LAMBDA_GRID:
@@ -220,10 +223,9 @@ def _gcv_oracle(y, config, x=None):
 def test_penalized_fit_satisfies_normal_equations():
     rng = np.random.default_rng(11)
     y = np.sin(np.linspace(0, 3, 60)) + rng.normal(0, 0.1, 60)
-    config = SmoothConfig(basis_dim=12)
-    (fitted,), (coef,), (lam,) = penalized_fit_rows(y[np.newaxis], config, np.arange(60.0))
-    design = bspline_design(np.arange(60.0), 12)
-    penalty = difference_penalty(12, 2)
+    (fitted,), (coef,), (lam,) = penalized_fit_rows(y[np.newaxis], np.arange(60.0))
+    design = bspline_design(np.arange(60.0), 30)
+    penalty = difference_penalty(30, 2)
     gap = design.T @ y - (design.T @ design + lam * penalty) @ coef
     np.testing.assert_allclose(gap, 0.0, atol=1e-8)
     np.testing.assert_allclose(fitted, design @ coef, atol=1e-12)
@@ -232,9 +234,8 @@ def test_penalized_fit_satisfies_normal_equations():
 def test_penalized_fit_picks_first_gcv_minimum():
     rng = np.random.default_rng(3)
     y = -5.0 + 0.04 * np.arange(80.0) + rng.normal(0, 0.15, 80)
-    config = SmoothConfig(basis_dim=14)
-    _, _, (lam,) = penalized_fit_rows(y[np.newaxis], config, np.arange(80.0))
-    scores = _gcv_oracle(y, config)
+    _, _, (lam,) = penalized_fit_rows(y[np.newaxis], np.arange(80.0))
+    scores = _gcv_oracle(y)
     assert lam == LAMBDA_GRID[int(np.argmin(scores))]
 
 
@@ -243,21 +244,35 @@ def test_penalized_fit_recovers_smooth_signal():
     x = np.linspace(0, 1, 90)
     truth = np.sin(2 * np.pi * x) - 3.0
     noisy = truth + rng.normal(0, 0.3, x.size)
-    (fitted,), _, _ = penalized_fit_rows(noisy[np.newaxis], SmoothConfig(basis_dim=15),
-                                         np.arange(90.0))
+    (fitted,), _, _ = penalized_fit_rows(noisy[np.newaxis], np.arange(90.0))
     noise_rmse = np.sqrt(np.mean((noisy - truth) ** 2))
     fit_rmse = np.sqrt(np.mean((fitted - truth) ** 2))
     assert fit_rmse < 0.5 * noise_rmse
 
 
 def test_penalized_fit_input_validation():
-    config = SmoothConfig(basis_dim=10)
-    with pytest.raises(SingularSystem):
-        penalized_fit_rows(np.zeros((1, 8)), config, np.arange(8.0))
+    with pytest.raises(SingularSystem, match="at least 4 ages, got 3"):
+        penalized_fit_rows(np.zeros((1, 3)), np.arange(3.0))
     with pytest.raises(NonFiniteInput):
-        penalized_fit_rows(np.array([[0.0, np.nan] + [0.0] * 10]), config, np.arange(12.0))
+        penalized_fit_rows(np.array([[0.0, np.nan] + [0.0] * 10]), np.arange(12.0))
     with pytest.raises(ValueError):
-        penalized_fit_rows(np.zeros((4, 4, 12)), config, np.arange(12.0))
+        penalized_fit_rows(np.zeros((4, 4, 12)), np.arange(12.0))
+
+
+@pytest.mark.parametrize("n_ages, basis_dim", [(4, 4), (21, 21), (29, 29), (30, 30), (101, 30)])
+def test_basis_has_one_function_per_age_up_to_thirty(n_ages, basis_dim):
+    rows = np.sin(np.arange(2.0 * n_ages).reshape(2, n_ages))
+    _, coef, _ = penalized_fit_rows(rows, np.arange(float(n_ages)))
+    assert coef.shape == (2, basis_dim)
+
+
+def test_smoothing_a_short_age_grid_moves_it_toward_the_truth():
+    observed, truth = synthetic_bundle(seed=1, n_years=20, max_age=20, return_truth=True)
+    smoothed, _ = smooth_bundle(observed)
+    for obs, smo, true in zip(observed, smoothed, truth):
+        raw_rmse = np.sqrt(np.mean((obs.log_rates - true.log_rates) ** 2))
+        smooth_rmse = np.sqrt(np.mean((smo.log_rates - true.log_rates) ** 2))
+        assert smooth_rmse < raw_rmse
 
 
 def test_smooth_curve_enforces_monotone_tail():
@@ -267,10 +282,9 @@ def test_smooth_curve_enforces_monotone_tail():
     y = -6.0 + 2.5 * np.exp(-ages / 6.0) + 0.04 * ages
     y -= 1.5 * np.exp(-0.5 * ((ages - 80) / 4.0) ** 2)
     y += rng.normal(0, 0.02, ages.size)
-    config = SmoothConfig()
-    (unconstrained,), _, _ = penalized_fit_rows(y[np.newaxis], config, ages.astype(float))
+    (unconstrained,), _, _ = penalized_fit_rows(y[np.newaxis], ages.astype(float))
     assert np.any(np.diff(unconstrained[ages >= 65]) < 0)
-    smoothed, _ = smooth_surface(MortalitySurface("pop", [2000], ages, y[np.newaxis]), config)
+    smoothed, _ = smooth_surface(MortalitySurface("pop", [2000], ages, y[np.newaxis]))
     fitted = smoothed.log_rates[0]
     tail = fitted[ages >= 65]
     assert np.all(np.diff(tail) >= -1e-12)
@@ -279,16 +293,16 @@ def test_smooth_curve_enforces_monotone_tail():
     assert np.any(np.diff(head) < 0)
 
 
-def _assert_batch_matches_rows(rates, ages, config):
+def _assert_batch_matches_rows(rates, ages):
     """Each row's batch lambda is its own GCV argmin; the surface stacks its one-year surfaces."""
     x = ages.astype(float)
-    _, _, lams = penalized_fit_rows(rates, config, x=x)
+    _, _, lams = penalized_fit_rows(rates, x=x)
     for row, lam in zip(rates, lams):
-        assert lam == LAMBDA_GRID[int(np.argmin(_gcv_oracle(row, config, x)))]
+        assert lam == LAMBDA_GRID[int(np.argmin(_gcv_oracle(row, x)))]
     years = np.arange(2000, 2000 + rates.shape[0])
-    smoothed, _ = smooth_surface(MortalitySurface("pop", years, ages, rates), config)
+    smoothed, _ = smooth_surface(MortalitySurface("pop", years, ages, rates))
     rowwise = np.vstack([
-        smooth_surface(MortalitySurface("pop", [year], ages, row[np.newaxis]), config)[0].log_rates
+        smooth_surface(MortalitySurface("pop", [year], ages, row[np.newaxis]))[0].log_rates
         for year, row in zip(years, rates)
     ])
     np.testing.assert_allclose(smoothed.log_rates, rowwise, rtol=0, atol=1e-12)
@@ -297,45 +311,45 @@ def _assert_batch_matches_rows(rates, ages, config):
 
 def test_smooth_surface_batch_equals_row_by_row():
     rng = np.random.default_rng(21)
-    ages = np.arange(61)
-    base = -6.0 + 2.0 * np.exp(-ages / 5.0) + 0.06 * ages
+    i = np.arange(61)
+    base = -6.0 + 2.0 * np.exp(-i / 5.0) + 0.06 * i
     # noise from 0.005 to 0.5 so that different rows want different lambdas
-    noise = np.geomspace(0.005, 0.5, 12)[:, None] * rng.normal(size=(12, ages.size))
-    config = SmoothConfig(basis_dim=15, monotone_from_age=40)
-    lams = _assert_batch_matches_rows(base + noise, ages, config)
+    noise = np.geomspace(0.005, 0.5, 12)[:, None] * rng.normal(size=(12, i.size))
+    # ages 25-85: the monotone tail starts at index 40
+    lams = _assert_batch_matches_rows(base + noise, MONOTONE_FROM_AGE - 40 + i)
     assert np.unique(lams).size >= 2
 
 
 @given(
     seed=st.integers(0, 2**32 - 1),
     n_rows=st.integers(1, 6),
-    basis_dim=st.integers(4, 10),
-    extra=st.integers(0, 15),
+    # grids under 30 ages get one basis function per age: these are the bases
+    # of 4-10 functions the test has always drawn; a 30-function basis is
+    # checked on 61 ages above
+    n_ages=st.integers(4, 10),
     noise_sd=st.sampled_from([0.01, 0.1, 1.0]),
 )
-def test_smooth_surface_batch_equals_row_by_row_property(seed, n_rows, basis_dim, extra,
-                                                         noise_sd):
+def test_smooth_surface_batch_equals_row_by_row_property(seed, n_rows, n_ages, noise_sd):
     rng = np.random.default_rng(seed)
-    ages = np.arange(basis_dim + extra)
-    trend = np.sin(ages / (1.0 + ages.size / 3.0)) + 0.02 * ages
-    rates = -4.0 + trend + noise_sd * rng.normal(size=(n_rows, ages.size))
-    config = SmoothConfig(basis_dim=basis_dim, monotone_from_age=int(ages.size // 2))
-    _assert_batch_matches_rows(rates, ages, config)
+    i = np.arange(n_ages)
+    trend = np.sin(i / (1.0 + n_ages / 3.0)) + 0.02 * i
+    rates = -4.0 + trend + noise_sd * rng.normal(size=(n_rows, n_ages))
+    # the monotone tail starts at index n_ages // 2
+    _assert_batch_matches_rows(rates, MONOTONE_FROM_AGE - n_ages // 2 + i)
 
 
 def test_penalized_fit_rows_rejects_one_non_finite_row():
     rates = np.full((4, 12), -2.0)
     rates[2, 5] = np.inf
     with pytest.raises(NonFiniteInput):
-        penalized_fit_rows(rates, SmoothConfig(basis_dim=6), np.arange(12.0))
+        penalized_fit_rows(rates, np.arange(12.0))
     with pytest.raises(ValueError):
-        penalized_fit_rows(np.zeros(12), SmoothConfig(basis_dim=6), np.arange(12.0))
+        penalized_fit_rows(np.zeros(12), np.arange(12.0))
 
 
 def test_smooth_surface_returns_residual_field(small_observed):
     s = small_observed[0]
-    config = SmoothConfig(basis_dim=10)
-    smoothed, field = smooth_surface(s, config)
+    smoothed, field = smooth_surface(s)
     assert smoothed.kind == "smoothed"
     assert smoothed.log_rates.shape == s.log_rates.shape
     np.testing.assert_allclose(field.sigma, np.abs(s.log_rates - smoothed.log_rates))
@@ -347,7 +361,7 @@ def test_smooth_surface_rejects_missing_values():
     rates[1, 4] = np.nan
     s = MortalitySurface("pop", np.arange(2000, 2003), np.arange(12), rates)
     with pytest.raises(NonFiniteInput):
-        smooth_surface(s, SmoothConfig(basis_dim=6))
+        smooth_surface(s)
 
 
 def test_residual_field_validation():
@@ -357,10 +371,3 @@ def test_residual_field_validation():
         ResidualField(sigma=np.zeros((2, 3)), sigma_avg=np.zeros(2))
     with pytest.raises(ValueError):
         ResidualField(sigma=-np.ones((2, 3)), sigma_avg=np.zeros(3))
-
-
-def test_smooth_config_validation():
-    with pytest.raises(ValueError):
-        SmoothConfig(basis_dim=3)
-    with pytest.raises(ValueError):
-        SmoothConfig(monotone_from_age=101)
