@@ -19,8 +19,10 @@ start-up cost.
 
 The work is batched over the years of a surface: the design, the penalty
 and the effective degrees of freedom do not depend on the curve, so each
-lambda costs one linear solve with every year as a right-hand side.  Every
-year still gets its own lambda, exactly as if it were fitted alone.
+lambda costs one linear solve for the smoother matrix, which every year is
+then multiplied by.  No year enters a solve, so a year's fit does not depend
+on the other years of its batch beyond last-place rounding, and every year
+gets its own lambda, as if it were fitted alone.
 """
 
 from __future__ import annotations
@@ -129,7 +131,6 @@ def penalized_fit_rows(rows: np.ndarray, x: np.ndarray):
     design = bspline_design(x, basis_dim)
     penalty = difference_penalty(basis_dim, PENALTY_ORDER)
     btb = design.T @ design
-    bty = design.T @ rows.T
 
     best_gcv = None
     best_fitted = np.empty((n_rows, n))
@@ -138,10 +139,12 @@ def penalized_fit_rows(rows: np.ndarray, x: np.ndarray):
     for lam in LAMBDA_GRID:
         system = btb + lam * penalty
         try:
-            coef = np.linalg.solve(system, bty).T
-            edf = np.trace(np.linalg.solve(system, btb))
+            smoother = np.linalg.solve(system, design.T)
         except np.linalg.LinAlgError as exc:
             raise SingularSystem(f"penalized system singular at lambda={lam}") from exc
+        # edf is the trace of the hat matrix design @ smoother
+        edf = np.sum(design * smoother.T)
+        coef = rows @ smoother.T
         fitted = coef @ design.T
         rss = np.sum((rows - fitted) ** 2, axis=1)
         denom = n - edf

@@ -19,6 +19,7 @@ from mortfpca.evaluation import smooth_bundle
 from mortfpca.hmd import MortalitySurface
 from mortfpca.smoothing import (
     LAMBDA_GRID,
+    MAX_BASIS_DIM,
     MONOTONE_FROM_AGE,
     PENALTY_ORDER,
     SPLINE_DEGREE,
@@ -206,7 +207,7 @@ def test_import_leaves_out_scipy_special():
 def _gcv_oracle(y, x=None):
     """Recompute the GCV path directly from the normal equations."""
     x = np.arange(y.size, dtype=float) if x is None else x
-    basis_dim = min(30, y.size)
+    basis_dim = min(MAX_BASIS_DIM, y.size)
     design = bspline_design(x, basis_dim)
     penalty = difference_penalty(basis_dim, PENALTY_ORDER)
     btb, bty, n = design.T @ design, design.T @ y, y.size
@@ -224,8 +225,8 @@ def test_penalized_fit_satisfies_normal_equations():
     rng = np.random.default_rng(11)
     y = np.sin(np.linspace(0, 3, 60)) + rng.normal(0, 0.1, 60)
     (fitted,), (coef,), (lam,) = penalized_fit_rows(y[np.newaxis], np.arange(60.0))
-    design = bspline_design(np.arange(60.0), 30)
-    penalty = difference_penalty(30, 2)
+    design = bspline_design(np.arange(60.0), MAX_BASIS_DIM)
+    penalty = difference_penalty(MAX_BASIS_DIM, PENALTY_ORDER)
     gap = design.T @ y - (design.T @ design + lam * penalty) @ coef
     np.testing.assert_allclose(gap, 0.0, atol=1e-8)
     np.testing.assert_allclose(fitted, design @ coef, atol=1e-12)
@@ -311,31 +312,29 @@ def _assert_batch_matches_rows(rates, ages):
 
 def test_smooth_surface_batch_equals_row_by_row():
     rng = np.random.default_rng(21)
-    i = np.arange(61)
-    base = -6.0 + 2.0 * np.exp(-i / 5.0) + 0.06 * i
+    ages = np.arange(61)
+    base = -6.0 + 2.0 * np.exp(-ages / 5.0) + 0.06 * ages
     # noise from 0.005 to 0.5 so that different rows want different lambdas
-    noise = np.geomspace(0.005, 0.5, 12)[:, None] * rng.normal(size=(12, i.size))
-    # ages 25-85: the monotone tail starts at index 40
-    lams = _assert_batch_matches_rows(base + noise, MONOTONE_FROM_AGE - 40 + i)
+    noise = np.geomspace(0.005, 0.5, 12)[:, None] * rng.normal(size=(12, ages.size))
+    # the monotone tail starts at index 40
+    lams = _assert_batch_matches_rows(base + noise, MONOTONE_FROM_AGE - 40 + ages)
     assert np.unique(lams).size >= 2
 
 
 @given(
     seed=st.integers(0, 2**32 - 1),
     n_rows=st.integers(1, 6),
-    # grids under 30 ages get one basis function per age: these are the bases
-    # of 4-10 functions the test has always drawn; a 30-function basis is
-    # checked on 61 ages above
-    n_ages=st.integers(4, 10),
+    # grids under 30 ages get one basis function per age
+    n_ages=st.integers(4, 40),
     noise_sd=st.sampled_from([0.01, 0.1, 1.0]),
 )
 def test_smooth_surface_batch_equals_row_by_row_property(seed, n_rows, n_ages, noise_sd):
     rng = np.random.default_rng(seed)
-    i = np.arange(n_ages)
-    trend = np.sin(i / (1.0 + n_ages / 3.0)) + 0.02 * i
-    rates = -4.0 + trend + noise_sd * rng.normal(size=(n_rows, n_ages))
+    ages = np.arange(n_ages)
+    trend = np.sin(ages / (1.0 + ages.size / 3.0)) + 0.02 * ages
+    rates = -4.0 + trend + noise_sd * rng.normal(size=(n_rows, ages.size))
     # the monotone tail starts at index n_ages // 2
-    _assert_batch_matches_rows(rates, MONOTONE_FROM_AGE - n_ages // 2 + i)
+    _assert_batch_matches_rows(rates, MONOTONE_FROM_AGE - n_ages // 2 + ages)
 
 
 def test_penalized_fit_rows_rejects_one_non_finite_row():
