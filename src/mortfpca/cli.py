@@ -35,9 +35,11 @@ from .errors import ConfigError, MalformedRow, MortfpcaError, SchemaMismatch
 from .evaluation import _check_design, rolling_rmse, smooth_bundle, tune_kappa
 from .forecasters import MODELS, WEIGHTED_MODELS, fit_model, predict_interval
 from .hmd import (
+    LABEL_RULE,
     SurfaceBundle,
     _write_grid,
     impute_missing,
+    is_label,
     parse_hmd_rates,
     read_matrix_csv,
     read_surface_csv,
@@ -71,8 +73,8 @@ def _kappa(raw: str) -> str | float:
 
 def _check_label(label: str, name: str) -> str:
     """``label``, which becomes part of a population_id and an eval.csv field."""
-    if any(c.isspace() or c == "," for c in label):
-        raise ConfigError(f"{name} must hold no whitespace or comma, got {label!r}")
+    if not is_label(label):
+        raise ConfigError(f"{name} must be {LABEL_RULE}, got {label!r}")
     return label
 
 

@@ -43,6 +43,14 @@ from .errors import (
 HMD_COLUMNS = ("Year", "Age", "Female", "Male", "Total")
 CSV_HEADER = "year,age,log_rate"
 SURFACE_KINDS = ("observed", "smoothed")
+#: what a population id, and each label that becomes part of one, must be:
+#: it names the population's files and is a field of ``eval.csv``
+LABEL_RULE = "printable ASCII with no whitespace, ',', '/' or '\\'"
+
+
+def is_label(text: str) -> bool:
+    """Whether ``text`` follows ``LABEL_RULE``."""
+    return all("!" <= c <= "~" and c not in ",/\\" for c in text)
 
 
 @dataclass(eq=False)
@@ -66,6 +74,8 @@ class MortalitySurface:
         self.log_rates = np.asarray(self.log_rates, dtype=float)
         if not self.population_id:
             raise ValueError("population_id must be non-empty")
+        if not is_label(self.population_id):
+            raise ValueError(f"population_id must be {LABEL_RULE}, got {self.population_id!r}")
         if self.kind not in SURFACE_KINDS:
             raise ValueError(f"kind must be one of {SURFACE_KINDS}, got {self.kind!r}")
         if self.years.ndim != 1 or self.years.size == 0:
@@ -428,7 +438,14 @@ def _read_grid(path, value_column: str):
 
 
 def read_surface_csv(path) -> MortalitySurface:
-    """Inverse of :func:`write_surface_csv`; validates the schema strictly."""
+    """Inverse of :func:`write_surface_csv`; validates the schema strictly.
+
+    After its leading ``#`` and spaces, the optional comment line holds
+    whitespace-separated ``key=value`` items; other items are ignored and a
+    later key wins.  ``population_id`` defaults to the file name without its
+    extension and ``kind`` to ``observed``; an id that breaks ``LABEL_RULE``
+    is a :class:`SchemaMismatch`.
+    """
     comment, years, ages, grid = _read_grid(path, "log_rate")
     meta = dict(item.split("=", 1) for item in comment.lstrip("# ").split() if "=" in item)
     try:

@@ -29,7 +29,9 @@ one order search, not one per series.
 The MA filter 1 / theta(B) of a batch is one unit lower-triangular band
 matrix of bandwidth ``MAX_ORDER``, block-diagonal over the cells, so the
 residuals and the Jacobian columns of every cell are filtered by one LAPACK
-``dtbtrs`` solve each.
+``dtbtrs`` solve each.  That solve is the package's one use of SciPy, and
+SciPy is imported on the first one: ``import mortfpca`` and the commands
+that run no order search load numpy alone.
 
 ``drift`` is the constant of the d-times differenced model: the process
 mean when d = 0 and the linear trend slope when d = 1.  Drift is never
@@ -52,7 +54,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dtbtrs
 
 from .errors import NonFiniteInput, OptimFailed, SeriesTooShort
 
@@ -80,6 +81,8 @@ _DRIFT = 2 * MAX_ORDER
 _SLOTS = np.arange(N_SLOTS)
 #: Levenberg-Marquardt state of a cell; one still running after MAX_ITER has not converged
 _RUNNING, _CONVERGED, _SINGULAR = 0, 1, 2
+#: ``scipy.linalg.lapack.dtbtrs``, bound by the first ``_band_solve``
+_dtbtrs = None
 
 
 @dataclass(eq=False)
@@ -127,6 +130,9 @@ def _band_solve(theta: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
     The solution overwrites a C-contiguous ``rhs``.
     """
+    global _dtbtrs
+    if _dtbtrs is None:
+        from scipy.linalg.lapack import dtbtrs as _dtbtrs
     k, cells, m = rhs.shape
     # LAPACK lower band storage, built transposed so that it is Fortran-ordered;
     # column 0, the unit diagonal, is not read
@@ -134,8 +140,8 @@ def _band_solve(theta: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     for j in range(1, MAX_ORDER + 1):
         # the last j rows of a cell stay zero, so no cell reaches into the next
         band[:, : m - j, j] = theta[:, j - 1, None]
-    y, _ = dtbtrs(band.reshape(-1, MAX_ORDER + 1).T, rhs.reshape(k, -1).T, uplo="L", diag="U",
-                  overwrite_b=True)
+    y, _ = _dtbtrs(band.reshape(-1, MAX_ORDER + 1).T, rhs.reshape(k, -1).T, uplo="L", diag="U",
+                   overwrite_b=True)
     return y.T.reshape(k, cells, m)
 
 
@@ -227,11 +233,20 @@ def _normal_equations(z, x, e, free, real):
     return np.einsum("aim,bim->iab", jac, jac), np.einsum("aim,im->ia", jac, e[:, MAX_D:])
 
 
+def _is_definite(a: np.ndarray) -> bool:
+    """Whether the Cholesky factorization of the symmetric ``a`` succeeds."""
+    try:
+        np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def _damped_steps(jtj: np.ndarray, grad: np.ndarray, mu: np.ndarray, free: np.ndarray):
     """Solve (J'J + mu diag(J'J)) s = -J'e of every cell; returns s and where the system is definite.
 
     A system is singular where its Cholesky factorization (LAPACK
-    ``dpotrf``) fails; its step is zero.  Slots a cell does not estimate get
+    ``dpotrf``, through ``np.linalg.cholesky``) fails; its step is zero.  Slots a cell does not estimate get
     a unit diagonal and a zero step.
     """
     scale = jtj[:, _SLOTS, _SLOTS]
@@ -241,7 +256,7 @@ def _damped_steps(jtj: np.ndarray, grad: np.ndarray, mu: np.ndarray, free: np.nd
         np.linalg.cholesky(damped)
         ok = np.ones(mu.size, bool)
     except np.linalg.LinAlgError:
-        ok = np.array([dpotrf(a)[1] == 0 for a in damped])
+        ok = np.array([_is_definite(a) for a in damped])
         # a singular system becomes I s = 0
         damped[~ok] = np.eye(N_SLOTS)
         grad = np.where(ok[:, None], grad, 0.0)

@@ -1,5 +1,6 @@
 """End-to-end command-line pipeline tests on a synthetic Mx_1x1 file."""
 
+import ast
 import math
 import os
 import pathlib
@@ -709,11 +710,12 @@ def test_flag_and_config_line_resolve_to_the_same_setting(tmp_path, key, text):
     assert getattr(from_flag, key) == getattr(from_file, key) != getattr(RunConfig(), key)
 
 
-@pytest.mark.parametrize("country", ["New Zealand", "NZ,1"])
+@pytest.mark.parametrize("country", ["New Zealand", "NZ,1", "../x", "a\\b", "S\u00e9"])
 @pytest.mark.parametrize("via_file", [False, True], ids=["flag", "file"])
 def test_country_with_whitespace_or_comma_is_a_config_error(tmp_path, raw_path, country,
                                                             via_file, capsys):
-    # a space splits the population_id comment on read-back; a comma shifts eval.csv columns
+    # a space splits the population_id comment on read-back, a comma shifts eval.csv
+    # columns, a slash or backslash leaves --out, and a surface CSV is ASCII
     argv = ["ingest", "--data", str(raw_path), "--out", str(tmp_path / "out")]
     if via_file:
         cfg = tmp_path / "run.cfg"
@@ -724,6 +726,24 @@ def test_country_with_whitespace_or_comma_is_a_config_error(tmp_path, raw_path, 
     assert main(argv) == 1
     assert_error_line(capsys, "cli", "ConfigError")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("comment", [b"population_id=../escaped", b"population_id=fe,male",
+                                     b"population_id=fe\x00male"], ids=["slash", "comma", "nul"])
+@pytest.mark.parametrize("command", ["smooth", "evaluate"])
+def test_population_id_that_breaks_the_label_rule_is_a_schema_mismatch(tmp_path, obs_dir, comment,
+                                                                       command, capsys):
+    data = tmp_path / "d"
+    data.mkdir()
+    text = (obs_dir / "female.csv").read_bytes()
+    (data / "female.csv").write_bytes(text.replace(b"population_id=female", comment, 1))
+    rc = main([command, "--data", str(data), "--out", str(tmp_path / "out" / "sm"),
+               "--model", "independent", "--h", "2", "--windows", "2"])
+    assert rc == 1
+    err = capsys.readouterr().err.strip()
+    assert ERROR_RE.match(err), err
+    assert err.startswith("error module=hmd type=SchemaMismatch ") and str(data / "female.csv") in err
+    assert [p for p in tmp_path.rglob("*") if p.is_file()] == [data / "female.csv"]
 
 
 def test_weighted_model_requires_kappa(tmp_path, smooth_dir, capsys):
@@ -760,15 +780,41 @@ def test_unknown_model_is_a_usage_error(tmp_path):
     assert exc.value.code == 2
 
 
-def test_cli_import_loads_neither_scipy_signal_nor_stats():
-    # the package needs neither, and together they add about 24 MB and most
-    # of a second to every command's start-up
+def scipy_modules_at_exit(statement):
+    """Run ``statement`` in a fresh interpreter: its exit status and the SciPy modules it loaded."""
     src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = ("import sys, mortfpca.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[:2] in (['scipy', 'signal'], ['scipy', 'stats'])))")
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == "[]"
+    code = ("import atexit, sys\n"
+            "atexit.register(lambda: print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
+            + statement)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    return done.returncode, ast.literal_eval(done.stdout.splitlines()[-1])
+
+
+def cli_statement(argv):
+    return f"from mortfpca.cli import main\nsys.exit(main({argv!r}))"
+
+
+@pytest.mark.parametrize("start", ["import", "import_cli", "help", "bad_flag", "ingest", "smooth"])
+def test_start_up_without_an_order_search_loads_no_scipy(tmp_path, raw_path, obs_dir, start):
+    # SciPy serves only the ARIMA fitter's band solve and is imported by the first
+    # one; importing it adds about 0.25 s and 28 MB to a command's start-up
+    statement = {
+        "import": "import mortfpca",
+        "import_cli": "import mortfpca.cli",
+        "help": cli_statement(["--help"]),
+        "bad_flag": cli_statement(["fit", "--data", str(obs_dir), "--h", "0"]),
+        "ingest": cli_statement(["ingest", "--data", str(raw_path), "--out", str(tmp_path)]),
+        "smooth": cli_statement(["smooth", "--data", str(obs_dir), "--out", str(tmp_path)]),
+    }[start]
+    assert scipy_modules_at_exit(statement) == (1 if start == "bad_flag" else 0, [])
+
+
+def test_fit_loads_scipy_for_its_order_search(tmp_path, smooth_dir):
+    status, modules = scipy_modules_at_exit(cli_statement(
+        ["fit", "--data", str(smooth_dir), "--out", str(tmp_path), "--model", "independent"]))
+    assert status == 0
+    assert "scipy.linalg.lapack" in modules
 
 
 def test_every_function_the_bench_tracer_wraps_exists():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
-from scipy.linalg.lapack import dposv
+from scipy.linalg.lapack import dposv, dpotrf
 from scipy.signal import lfilter
 
 from mortfpca import tsmodels
@@ -27,9 +27,11 @@ from mortfpca.tsmodels import (
     _css_batch,
     _css_jacobian,
     _css_residuals,
+    _damped_steps,
     _fallback_spec,
     _fit_cells_many,
     _grid,
+    _is_definite,
     _layout,
     _levenberg_marquardt,
     _roots_ok,
@@ -303,6 +305,69 @@ def test_singular_cell_is_rejected_alone():
             np.testing.assert_array_equal(fitted[i], alone[0])
     with pytest.raises(OptimFailed, match="singular"):
         ref_levenberg_marquardt(spike, np.zeros(2), 0, 2, False, MAX_D, "cell (0,0,2)")
+
+
+def scipy_damped_steps(jtj, grad, mu, free):
+    """``_damped_steps`` with SciPy's ``dpotrf`` as the per-system test of its fallback."""
+    slots = np.arange(N_SLOTS)
+    scale = jtj[:, slots, slots]
+    damped = jtj.copy()
+    damped[:, slots, slots] = np.where(free, scale + mu[:, None] * scale, 1.0)
+    try:
+        np.linalg.cholesky(damped)
+        ok = np.ones(mu.size, bool)
+    except np.linalg.LinAlgError:
+        ok = np.array([dpotrf(a)[1] == 0 for a in damped])
+        damped[~ok] = np.eye(N_SLOTS)
+        grad = np.where(ok[:, None], grad, 0.0)
+    return np.linalg.solve(damped, -grad[:, :, None])[:, :, 0], ok
+
+
+def normal_equations(seed, zero_column=None):
+    """J'J and J'e of a random 12 x N_SLOTS Jacobian, one column zeroed if asked."""
+    rng = np.random.default_rng(seed)
+    jac, e = rng.normal(size=(12, N_SLOTS)), rng.normal(size=12)
+    if zero_column is not None:
+        jac[:, zero_column] = 0.0
+    return jac.T @ jac, jac.T @ e
+
+
+def edited(a, i, j, value):
+    a = a.copy()
+    a[i, j] = a[j, i] = value
+    return a
+
+
+@pytest.mark.parametrize("system", [
+    normal_equations(0)[0],                            # positive definite
+    normal_equations(1, zero_column=2)[0],             # singular: a zero free column
+    np.diag([1.0, 2.0, -0.5, 3.0, 4.0]),               # indefinite
+    edited(normal_equations(0)[0], 0, 0, -1.0),        # indefinite, dense
+    edited(normal_equations(2)[0], 1, 3, np.nan),      # non-finite
+    edited(normal_equations(2)[0], 1, 3, np.inf),
+    edited(normal_equations(2)[0], 4, 4, np.inf),
+    edited(normal_equations(2)[0], 2, 2, np.nan),
+], ids=["definite", "zero-column", "indefinite", "indefinite-dense", "nan", "inf", "inf-diagonal",
+        "nan-diagonal"])
+def test_definiteness_test_agrees_with_scipy_dpotrf(system):
+    assert system.shape == (N_SLOTS, N_SLOTS)
+    assert _is_definite(system) == (dpotrf(system)[1] == 0)
+
+
+def test_damped_steps_fallback_matches_the_scipy_dpotrf_fallback():
+    # the middle system is singular; the last one does not estimate slot 1, whose
+    # Jacobian column is zero as in a fit, and gets a unit diagonal there
+    systems = [normal_equations(3), normal_equations(5, zero_column=3),
+               normal_equations(4, zero_column=1)]
+    jtj, grad = (np.array(part) for part in zip(*systems))
+    mu = np.array([1e-3, 1e-2, 0.5])
+    free = np.ones((3, N_SLOTS), bool)
+    free[2, 1] = False
+    step, ok = _damped_steps(jtj, grad, mu, free)
+    ref_step, ref_ok = scipy_damped_steps(jtj, grad, mu, free)
+    np.testing.assert_array_equal(ok, [True, False, True])
+    np.testing.assert_array_equal(ok, ref_ok)
+    assert step.tobytes() == ref_step.tobytes()
 
 
 @pytest.mark.parametrize("order, include_drift", [((2, 0, 0), True), ((1, 1, 0), True), ((2, 0, 0), False)])
