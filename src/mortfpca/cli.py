@@ -33,7 +33,7 @@ from .components import ComponentRule
 from .demographics import life_expectancy, sex_ratio
 from .errors import ConfigError, MalformedRow, MortfpcaError, SchemaMismatch
 from .evaluation import _check_design, rolling_rmse, smooth_bundle, tune_kappa
-from .forecasters import MODELS, WEIGHTED_MODELS, fit_model, predict_interval
+from .forecasters import MODELS, WEIGHTED_MODELS, _decompose, fit_model, predict_interval
 from .hmd import (
     LABEL_RULE,
     SurfaceBundle,
@@ -350,11 +350,13 @@ def cmd_smooth(cfg: RunConfig) -> int:
 def cmd_fit(cfg: RunConfig) -> int:
     out = _require_out(cfg)
     bundle, _ = _prepared_bundle(cfg)
-    result = _fit(cfg, bundle)
-    for block in result.blocks:
+    # the decomposition alone: fit writes no score forecast, so it runs no order search
+    ids, _, [(_, blocks)] = _decompose(bundle, cfg.model, [_resolve_kappa(cfg, bundle)],
+                                       cfg.rule, cfg.weight_power)
+    for block in blocks:
         path = os.path.join(out, block.name)
         if block.fit.parts:
-            pids = [result.population_ids[i] for i in block.covers]
+            pids = [ids[i] for i in block.covers]
             save_mfpca_fit(block.fit, bundle.years, bundle.ages, pids, path)
         else:
             save_fpca_fit(block.fit, bundle.years, bundle.ages, path)

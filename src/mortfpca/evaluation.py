@@ -26,7 +26,7 @@ import numpy as np
 from .components import ComponentRule
 from .errors import InsufficientSpan, KappaOutOfRange
 from .forecasters import MODELS, WEIGHTED_MODELS, _fit_models, predict_interval
-from .hmd import SurfaceBundle
+from .hmd import SurfaceBundle, _distinct
 from .smoothing import smooth_surface
 from .tsmodels import MIN_OBS
 
@@ -158,7 +158,7 @@ def tune_kappa(
         raise KappaOutOfRange("kappa candidates must lie in (0, 1)")
     _check_design(bundle, model, h, windows)
     smoothed, _ = smooth_bundle(bundle)
-    kappas = [float(kappa) for kappa in np.unique(grid)]
+    kappas = [float(kappa) for kappa in _distinct(grid)]
     reports = _rolling_report(bundle, smoothed, model, h, windows, kappas, rule, weight_power)
     best_kappa, best_rmse = None, np.inf
     for kappa, report in zip(kappas, reports):

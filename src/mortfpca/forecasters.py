@@ -22,13 +22,16 @@ chosen ARIMA, and recombine.
     each ratio the population's relative risk against it.
 
 :func:`fit_model` is the one path through that pipeline, a one-kappa call
-of ``_fit_models``: it checks the horizon, builds the year weights, builds
-the named variant's blocks and runs one order search over all their score
-series (over every kappa's, when ``_fit_models`` gets a grid).  Only the
-``WEIGHTED_MODELS`` read ``kappa`` and ``weight_power``.  The result is a
-:class:`ModelResult` whose :class:`Block` list spells out the variant's
-shape: a population's forecast is the sum, over the blocks covering it, of
-a mean curve plus score forecasts times loadings.
+of ``_fit_models``, in the two stages of Hyndman & Ullah (2007).  The first,
+``_decompose``, builds the year weights and the named variant's blocks:
+means, eigenfunctions and scores, all that ``mortfpca fit`` writes, so that
+command runs this stage alone.  The second runs one order search over all
+the blocks' score series (over every kappa's, when ``_fit_models`` gets a
+grid) and forecasts them.  Only the ``WEIGHTED_MODELS`` read ``kappa`` and
+``weight_power``.  The result is a :class:`ModelResult` whose
+:class:`Block` list spells out the variant's shape: a population's forecast
+is the sum, over the blocks covering it, of a mean curve plus score
+forecasts times loadings.
 
 Prediction intervals combine three variance pieces per age: the variance of
 the estimated weighted mean, the score forecast variances mapped through
@@ -230,26 +233,23 @@ def fit_model(bundle, model: str, h: int = 20, kappa: float | None = None,
     Only the ``WEIGHTED_MODELS`` read ``kappa``, the geometric decay rate
     of the year weights (``None`` gives uniform weights), and
     ``weight_power``; the others weight years uniformly at power 1.0
-    whatever is passed.  The order search then runs once for every score
-    column of every block (``fit_auto_many``), and the forecasts follow in
-    block and column order.
+    whatever is passed.  The decomposition (``_decompose``) comes first;
+    the order search then runs once for every score column of every block
+    (``fit_auto_many``), and the forecasts follow in block and column
+    order.
     """
     return _fit_models(bundle, model, h, [kappa], rule, weight_power)[0]
 
 
-def _fit_models(bundle, model: str, h: int, kappas, rule: ComponentRule | None,
-                weight_power: float) -> list[ModelResult]:
-    """``fit_model`` at every kappa of ``kappas``, with one order search over them all.
+def _decompose(bundle, model: str, kappas, rule: ComponentRule | None, weight_power: float):
+    """The population ids, the years, and per kappa of ``kappas`` its (weights, blocks).
 
-    Every kappa's blocks are built first; then one ``fit_auto_many`` call
-    covers every score column in kappa, then block, then column order.
-    All kappas train on the same years, so their series share one length,
-    and each spec equals the one ``fit_model`` finds for that kappa alone.
+    The first stage of every model, which ``mortfpca fit`` writes out: the
+    year weights and the variant's blocks, with no order search and no
+    forecast.
     """
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}; choose from {MODELS}")
-    if h < 1:
-        raise ValueError(f"horizon must be >= 1, got {h}")
     curves = _extract_curves(bundle)
     if not curves:
         raise EmptyBundle("no populations to fit")
@@ -265,6 +265,22 @@ def _fit_models(bundle, model: str, h: int, kappas, rule: ComponentRule | None,
         weights = (geometric_weights(kappa, n_years) if kappa is not None
                    else uniform_weights(n_years))
         fits.append((weights, _BLOCKS[model](ids, curves, weights, rule, weight_power)))
+    return ids, years, fits
+
+
+def _fit_models(bundle, model: str, h: int, kappas, rule: ComponentRule | None,
+                weight_power: float) -> list[ModelResult]:
+    """``fit_model`` at every kappa of ``kappas``, with one order search over them all.
+
+    Every kappa's blocks are built first (``_decompose``); then one
+    ``fit_auto_many`` call covers every score column in kappa, then block,
+    then column order.  All kappas train on the same years, so their
+    series share one length, and each spec equals the one ``fit_model``
+    finds for that kappa alone.
+    """
+    if h < 1:
+        raise ValueError(f"horizon must be >= 1, got {h}")
+    ids, years, fits = _decompose(bundle, model, kappas, rule, weight_power)
     columns = [(series, block.mode)
                for _, blocks in fits for block in blocks for series in block.fit.scores.T]
     specs = iter(fit_auto_many([series for series, _ in columns], [mode for _, mode in columns]))

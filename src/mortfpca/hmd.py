@@ -230,6 +230,21 @@ def _bad_line(lines, first_line: int, dtype, delimiter=None):
     return number, "unparseable row"
 
 
+def _distinct(values) -> np.ndarray:
+    """The sorted distinct values of ``values``, the array ``np.unique`` returns.
+
+    Sort, then keep each value that differs from its predecessor.  Numpy's
+    own ``np.unique`` imports ``numpy.ma`` on its first call (numpy 2.4),
+    a module no command here otherwise loads.  NaN values are not
+    collapsed; no caller passes one.
+    """
+    ordered = np.sort(np.ravel(values))
+    keep = np.empty(ordered.shape, dtype=bool)
+    keep[:1] = True
+    keep[1:] = ordered[1:] != ordered[:-1]
+    return ordered[keep]
+
+
 def parse_hmd_rates(raw_text: str, max_age: int = 100, prefix: str = "") -> SurfaceBundle:
     """Parse Mx_1x1 text into female, male and total log-rate surfaces.
 
@@ -279,7 +294,7 @@ def parse_hmd_rates(raw_text: str, max_age: int = 100, prefix: str = "") -> Surf
     if np.any(np.isinf(rates)):
         raise MalformedRow("infinite rate")
 
-    years, ages = np.unique(rows["year"]), np.unique(rows["age"])
+    years, ages = _distinct(rows["year"]), _distinct(rows["age"])
     if np.any(np.diff(years) != 1):
         raise NonContiguousYears(f"years {years[0]}..{years[-1]} have gaps")
     if np.any(np.diff(ages) != 1):
@@ -428,7 +443,7 @@ def _read_grid(path, value_column: str):
         line = lines[number - 1].strip()
         raise SchemaMismatch(f"{path}: line {number}: {reason}: {line!r}") from exc
 
-    years, ages = np.unique(rows["year"]), np.unique(rows["age"])
+    years, ages = _distinct(rows["year"]), _distinct(rows["age"])
     contiguous = np.all(np.diff(years) == 1) and np.all(np.diff(ages) == 1)
     if not (contiguous and np.array_equal(rows["year"], np.repeat(years, ages.size))
             and np.array_equal(rows["age"], np.tile(ages, years.size))):

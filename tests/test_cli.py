@@ -13,6 +13,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from mortfpca import forecasters, tsmodels
 from mortfpca.cli import (
     ENV_DATA_DIR,
     RunConfig,
@@ -21,14 +22,19 @@ from mortfpca.cli import (
     main,
     resolve_config,
 )
+from mortfpca.components import ComponentRule
 from mortfpca.demographics import life_expectancy
-from mortfpca.forecasters import MODELS, WEIGHTED_MODELS
+from mortfpca.evaluation import smooth_bundle
+from mortfpca.forecasters import MODELS, WEIGHTED_MODELS, fit_model
 from mortfpca.hmd import (
     MortalitySurface,
+    SurfaceBundle,
+    impute_missing,
     read_matrix_csv,
     read_surface_csv,
     write_surface_csv,
 )
+from mortfpca.store import save_fpca_fit, save_mfpca_fit
 from mortfpca.synthetic import synthetic_bundle
 
 ERROR_RE = re.compile(r'^error module=\w+ type=\w+ msg="[^"]*"$')
@@ -284,6 +290,100 @@ def test_fixed_component_count_caps_serialized_spectrum(tmp_path, smooth_dir):
     assert rc == 0
     lines = (tmp_path / "female" / "eigenvalues.csv").read_text().splitlines()
     assert len(lines) == 2  # header plus a single component
+
+
+def fit_tree(root):
+    """Every file under ``root``, by its path relative to ``root``."""
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def save_fit_model_blocks(data_dir, model, kappa, out):
+    """The fit files of ``fit_model``'s blocks, laid out as ``mortfpca fit`` lays them out."""
+    bundle = SurfaceBundle([read_surface_csv(p) for p in sorted(data_dir.glob("*.csv"))
+                            if not p.name.endswith(".sigma.csv")])
+    if bundle[0].kind == "observed":
+        bundle, _ = smooth_bundle([impute_missing(s) for s in bundle])
+    result = fit_model(bundle, model, kappa=kappa if model in WEIGHTED_MODELS else None,
+                       rule=ComponentRule())
+    for block in result.blocks:
+        path = out / block.name
+        if block.fit.parts:
+            pids = [result.population_ids[i] for i in block.covers]
+            save_mfpca_fit(block.fit, bundle.years, bundle.ages, pids, path)
+        else:
+            save_fpca_fit(block.fit, bundle.years, bundle.ages, path)
+
+
+@pytest.mark.parametrize("kind", ["smoothed", "observed"])
+@pytest.mark.parametrize("model", MODELS)
+def test_fit_writes_the_decomposition_fit_model_holds(tmp_path, obs_dir, smooth_dir, model, kind):
+    data = smooth_dir if kind == "smoothed" else obs_dir
+    out, expected = tmp_path / "out", tmp_path / "expected"
+    assert main(["fit", "--data", str(data), "--out", str(out), "--model", model,
+                 "--kappa", "0.5"]) == 0
+    save_fit_model_blocks(data, model, 0.5, expected)
+    written = fit_tree(out)
+    assert written and written == fit_tree(expected)
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_fit_at_a_fixed_kappa_runs_no_order_search(tmp_path, smooth_dir, model, monkeypatch):
+    calls = []
+    search = tsmodels.fit_auto_many
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(tsmodels, "fit_auto_many", spy)
+    monkeypatch.setattr(forecasters, "fit_auto_many", spy)
+    argv = ["--data", str(smooth_dir), "--model", model, "--kappa", "0.5", "--h", "2"]
+    assert main(["fit", "--out", str(tmp_path / "fit"), *argv]) == 0
+    assert calls == []
+    # the spy does see the one search a forecast runs
+    assert main(["forecast", "--out", str(tmp_path / "fc"), *argv]) == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("model", WEIGHTED_MODELS)
+def test_fit_with_kappa_auto_writes_the_files_of_the_tuned_kappa(tmp_path, smooth_dir, model,
+                                                                 capsys):
+    argv = ["fit", "--data", str(smooth_dir), "--model", model, "--h", "2", "--windows", "2"]
+    assert main([*argv, "--out", str(tmp_path / "auto"), "--kappa", "auto"]) == 0
+    tuned = re.fullmatch(r"tuned kappa = (\S+)", capsys.readouterr().out.splitlines()[0])
+    assert tuned
+    assert main([*argv, "--out", str(tmp_path / "fixed"), "--kappa", tuned.group(1)]) == 0
+    assert fit_tree(tmp_path / "auto") == fit_tree(tmp_path / "fixed")
+
+
+@pytest.mark.parametrize("n_years", [1, 2, 9])
+def test_fit_needs_two_years_and_forecast_ten(tmp_path, obs_dir, n_years, capsys):
+    # fit stops at the decomposition's floor of 2 years, forecast at the order search's 10
+    data = tmp_path / "data"
+    data.mkdir()
+    for path in sorted(obs_dir.glob("*.csv")):
+        s = read_surface_csv(path)
+        write_surface_csv(MortalitySurface(s.population_id, s.years[:n_years], s.ages,
+                                           s.log_rates[:n_years]), data / path.name)
+    for model in MODELS:
+        out = tmp_path / model
+        rc = main(["fit", "--data", str(data), "--out", str(out), "--model", model,
+                   "--kappa", "0.5"])
+        if n_years == 1:
+            assert rc == 1
+            assert_error_line(capsys, "ufpca", "InsufficientYears")
+            assert not any(out.iterdir())
+        else:
+            assert rc == 0
+            assert capsys.readouterr().err == ""
+            assert list(out.rglob("eigenvalues.csv"))
+    rc = main(["forecast", "--data", str(data), "--out", str(tmp_path / "fc"),
+               "--model", "independent"])
+    assert rc == 1
+    if n_years == 1:
+        assert_error_line(capsys, "ufpca", "InsufficientYears")
+    else:
+        assert_error_line(capsys, "tsmodels", "SeriesTooShort")
 
 
 # -- forecast ----------------------------------------------------------------
@@ -780,12 +880,13 @@ def test_unknown_model_is_a_usage_error(tmp_path):
     assert exc.value.code == 2
 
 
-def scipy_modules_at_exit(statement):
-    """Run ``statement`` in a fresh interpreter: its exit status and the SciPy modules it loaded."""
+def modules_at_exit(statement, package="scipy"):
+    """Run ``statement`` in a fresh interpreter: its exit status and the ``package`` modules it loaded."""
     src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = ("import atexit, sys\n"
-            "atexit.register(lambda: print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
+            f"atexit.register(lambda: print(sorted(m for m in sys.modules if m == {package!r} "
+            f"or m.startswith({package + '.'!r}))))\n"
             + statement)
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     return done.returncode, ast.literal_eval(done.stdout.splitlines()[-1])
@@ -795,8 +896,10 @@ def cli_statement(argv):
     return f"from mortfpca.cli import main\nsys.exit(main({argv!r}))"
 
 
-@pytest.mark.parametrize("start", ["import", "import_cli", "help", "bad_flag", "ingest", "smooth"])
-def test_start_up_without_an_order_search_loads_no_scipy(tmp_path, raw_path, obs_dir, start):
+@pytest.mark.parametrize("start", ["import", "import_cli", "help", "bad_flag", "ingest", "smooth",
+                                   "fit"])
+def test_start_up_without_an_order_search_loads_no_scipy(tmp_path, raw_path, obs_dir, smooth_dir,
+                                                         start):
     # SciPy serves only the ARIMA fitter's band solve and is imported by the first
     # one; importing it adds about 0.25 s and 28 MB to a command's start-up
     statement = {
@@ -806,15 +909,28 @@ def test_start_up_without_an_order_search_loads_no_scipy(tmp_path, raw_path, obs
         "bad_flag": cli_statement(["fit", "--data", str(obs_dir), "--h", "0"]),
         "ingest": cli_statement(["ingest", "--data", str(raw_path), "--out", str(tmp_path)]),
         "smooth": cli_statement(["smooth", "--data", str(obs_dir), "--out", str(tmp_path)]),
+        "fit": cli_statement(["fit", "--data", str(smooth_dir), "--out", str(tmp_path),
+                              "--kappa", "0.5"]),
     }[start]
-    assert scipy_modules_at_exit(statement) == (1 if start == "bad_flag" else 0, [])
+    assert modules_at_exit(statement) == (1 if start == "bad_flag" else 0, [])
 
 
-def test_fit_loads_scipy_for_its_order_search(tmp_path, smooth_dir):
-    status, modules = scipy_modules_at_exit(cli_statement(
-        ["fit", "--data", str(smooth_dir), "--out", str(tmp_path), "--model", "independent"]))
+def test_forecast_loads_scipy_for_its_order_search(tmp_path, smooth_dir):
+    status, modules = modules_at_exit(cli_statement(
+        ["forecast", "--data", str(smooth_dir), "--out", str(tmp_path), "--model", "independent"]))
     assert status == 0
     assert "scipy.linalg.lapack" in modules
+
+
+@pytest.mark.parametrize("command", ["ingest", "smooth", "fit"])
+def test_ingest_smooth_and_fit_load_no_numpy_ma(tmp_path, raw_path, obs_dir, smooth_dir, command):
+    # np.unique imports numpy.ma on its first call, about 14 ms and 0.8 MB of start-up
+    argv = {
+        "ingest": ["ingest", "--data", str(raw_path), "--out", str(tmp_path)],
+        "smooth": ["smooth", "--data", str(obs_dir), "--out", str(tmp_path)],
+        "fit": ["fit", "--data", str(smooth_dir), "--out", str(tmp_path), "--kappa", "0.5"],
+    }[command]
+    assert modules_at_exit(cli_statement(argv), "numpy.ma") == (0, [])
 
 
 def test_every_function_the_bench_tracer_wraps_exists():

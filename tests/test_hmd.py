@@ -25,6 +25,7 @@ from mortfpca.hmd import (
     HMD_COLUMNS,
     MortalitySurface,
     SurfaceBundle,
+    _distinct,
     impute_missing,
     parse_hmd_rates,
     read_matrix_csv,
@@ -335,6 +336,19 @@ def test_log_rates_survive_csv_round_trip_exactly(values):
         write_surface_csv(s, path)
         back = read_surface_csv(path)
     assert np.array_equal(back.log_rates, s.log_rates)
+
+
+@given(st.one_of(
+    st.lists(st.integers(-3, 3) | st.integers(-2**63, 2**63 - 1), max_size=30).map(
+        lambda v: np.array(v, dtype="i8")),
+    st.lists(st.floats(allow_nan=False) | st.sampled_from([0.0, -0.0, 0.5]), max_size=30).map(
+        lambda v: np.array(v, dtype="f8")),
+))
+def test_distinct_values_equal_np_unique_bitwise(values):
+    expected = np.unique(values)
+    got = _distinct(values)
+    assert got.dtype == expected.dtype
+    assert got.tobytes() == expected.tobytes()
 
 
 def test_matrix_csv_round_trip(tmp_path):
