@@ -32,7 +32,7 @@ import numpy as np
 from .components import ComponentRule
 from .demographics import life_expectancy, sex_ratio
 from .errors import ConfigError, MalformedRow, MortfpcaError, SchemaMismatch
-from .evaluation import _check_design, rolling_rmse, smooth_bundle, tune_kappa
+from .evaluation import DEFAULT_KAPPA_GRID, _check_design, rolling_rmse, smooth_bundle, tune_kappa
 from .forecasters import MODELS, WEIGHTED_MODELS, _decompose, fit_model, predict_interval
 from .hmd import (
     LABEL_RULE,
@@ -301,6 +301,11 @@ def _resolve_kappa(cfg: RunConfig, bundle, holdout: bool = False) -> float | Non
             rule=cfg.rule, weight_power=cfg.weight_power,
         )
         print(f"tuned kappa = {kappa}")
+        lowest, highest = DEFAULT_KAPPA_GRID[0], DEFAULT_KAPPA_GRID[-1]
+        if kappa in (lowest, highest):
+            edge = "lowest" if kappa == lowest else "highest"
+            print(f"tuned kappa is the {edge} value of the grid {lowest}..{highest}: "
+                  f"the best kappa may lie beyond the grid")
         return kappa
     return cfg.kappa
 

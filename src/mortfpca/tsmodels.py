@@ -29,9 +29,12 @@ one order search, not one per series.
 The MA filter 1 / theta(B) of a batch is one unit lower-triangular band
 matrix of bandwidth ``MAX_ORDER``, block-diagonal over the cells, so the
 residuals and the Jacobian columns of every cell are filtered by one LAPACK
-``dtbtrs`` solve each.  That solve is the package's one use of SciPy, and
-SciPy is imported on the first one: ``import mortfpca`` and the commands
-that run no order search load numpy alone.
+``dtbtrs`` solve each, bound on the first solve.  numpy 2 wheels ship their
+BLAS, scipy-openblas, with the whole LAPACK, so where numpy names that BLAS
+and its ``dtbtrs`` resolves it is called through ctypes and the package
+runs on numpy alone.  Otherwise, as with numpy 1.x wheels or a numpy built
+against another BLAS, SciPy's ``dtbtrs`` is imported then; that solve is
+the package's one use of SciPy.
 
 ``drift`` is the constant of the d-times differenced model: the process
 mean when d = 0 and the linear trend slope when d = 1.  Drift is never
@@ -81,7 +84,8 @@ _DRIFT = 2 * MAX_ORDER
 _SLOTS = np.arange(N_SLOTS)
 #: Levenberg-Marquardt state of a cell; one still running after MAX_ITER has not converged
 _RUNNING, _CONVERGED, _SINGULAR = 0, 1, 2
-#: ``scipy.linalg.lapack.dtbtrs``, bound by the first ``_band_solve``
+#: LAPACK ``dtbtrs(ab, b) -> (x, info)`` for a unit lower band matrix, bound by the
+#: first ``_band_solve``: numpy's own (``_openblas_dtbtrs``), else SciPy's
 _dtbtrs = None
 
 
@@ -125,14 +129,76 @@ class ScoreForecast:
         return self.mean.size
 
 
+def _openblas_dtbtrs():
+    """numpy's own LAPACK ``dtbtrs`` through ctypes, or None where it does not resolve.
+
+    Binds ``scipy_dtbtrs_64_`` of the ``libscipy_openblas64_*.so`` in the
+    ``numpy.libs`` directory next to numpy when numpy names its BLAS
+    scipy-openblas.  The returned ``solve(ab, b)`` takes the Fortran-ordered
+    band storage ``ab`` (MAX_ORDER + 1, n) and right-hand sides ``b`` (n,
+    nrhs), and solves in place into ``b`` as SciPy's ``dtbtrs(ab, b,
+    uplo="L", diag="U", overwrite_b=True)`` does.
+    """
+    import ctypes
+    import glob
+    import os
+
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):  # numpy before 1.26 has no config dicts
+        return None
+    libs = sorted(glob.glob(os.path.join(os.path.dirname(os.path.dirname(np.__file__)),
+                                         "numpy.libs", "libscipy_openblas64_*.so")))
+    if blas != "scipy-openblas" or not libs:
+        return None
+    try:
+        routine = ctypes.CDLL(libs[0]).scipy_dtbtrs_64_
+    except (OSError, AttributeError):
+        return None
+    integer, real = ctypes.POINTER(ctypes.c_int64), ctypes.POINTER(ctypes.c_double)
+    # UPLO, TRANS, DIAG, N, KD, NRHS, AB, LDAB, B, LDB, INFO, then the
+    # Fortran hidden lengths of the three strings
+    routine.argtypes = [ctypes.c_char_p] * 3 + [integer] * 3 + [real, integer] * 2 + [integer] \
+        + [ctypes.c_size_t] * 3
+    routine.restype = None
+    flags = tuple(ctypes.c_char_p(flag) for flag in (b"L", b"N", b"U"))
+    kd, ldab = ctypes.c_int64(MAX_ORDER), ctypes.c_int64(MAX_ORDER + 1)
+    lengths = (ctypes.c_size_t(1),) * 3
+
+    def solve(ab, b):
+        ab = np.asfortranarray(ab, dtype=np.float64)
+        b = np.asfortranarray(b, dtype=np.float64)
+        n, nrhs = b.shape
+        if ab.shape != (MAX_ORDER + 1, n):
+            raise ValueError(f"band storage of shape {ab.shape} does not fit {n} rows")
+        if b.size == 0:
+            return b, 0
+        rows, info = ctypes.c_int64(n), ctypes.c_int64()
+        # a Fortran-ordered array's transpose is C-ordered, so ctypes can view
+        # its buffer; that costs less than ``ndarray.ctypes``
+        routine(*flags, rows, kd, ctypes.c_int64(nrhs), ctypes.c_double.from_buffer(ab.T), ldab,
+                ctypes.c_double.from_buffer(b.T), rows, info, *lengths)
+        return b, info.value
+
+    return solve
+
+
 def _band_solve(theta: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve theta(B) y = rhs along the last axis of ``rhs`` (k, cells, m), one theta row per cell.
 
-    The solution overwrites a C-contiguous ``rhs``.
+    The solution overwrites a C-contiguous ``rhs``.  The first call binds
+    ``_dtbtrs``: numpy's own LAPACK where ``_openblas_dtbtrs`` resolves it,
+    else SciPy's, imported then.  Both give the same bits.
     """
     global _dtbtrs
     if _dtbtrs is None:
-        from scipy.linalg.lapack import dtbtrs as _dtbtrs
+        _dtbtrs = _openblas_dtbtrs()
+        if _dtbtrs is None:
+            from functools import partial
+
+            from scipy.linalg.lapack import dtbtrs
+
+            _dtbtrs = partial(dtbtrs, uplo="L", diag="U", overwrite_b=True)
     k, cells, m = rhs.shape
     # LAPACK lower band storage, built transposed so that it is Fortran-ordered;
     # column 0, the unit diagonal, is not read
@@ -140,8 +206,7 @@ def _band_solve(theta: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     for j in range(1, MAX_ORDER + 1):
         # the last j rows of a cell stay zero, so no cell reaches into the next
         band[:, : m - j, j] = theta[:, j - 1, None]
-    y, _ = _dtbtrs(band.reshape(-1, MAX_ORDER + 1).T, rhs.reshape(k, -1).T, uplo="L", diag="U",
-                   overwrite_b=True)
+    y, _ = _dtbtrs(band.reshape(-1, MAX_ORDER + 1).T, rhs.reshape(k, -1).T)
     return y.T.reshape(k, cells, m)
 
 

@@ -356,6 +356,20 @@ def test_fit_with_kappa_auto_writes_the_files_of_the_tuned_kappa(tmp_path, smoot
     assert fit_tree(tmp_path / "auto") == fit_tree(tmp_path / "fixed")
 
 
+@pytest.mark.parametrize("tuned, edge", [(0.05, "lowest"), (0.95, "highest"), (0.35, None)])
+def test_kappa_auto_says_when_the_tuned_value_is_an_edge_of_the_grid(tmp_path, smooth_dir, tuned,
+                                                                    edge, capsys, monkeypatch):
+    monkeypatch.setattr("mortfpca.cli.tune_kappa", lambda *args, **kwargs: tuned)
+    assert main(["fit", "--data", str(smooth_dir), "--out", str(tmp_path), "--model", "coherent",
+                 "--kappa", "auto", "--h", "2", "--windows", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"tuned kappa = {tuned}"
+    notes = [f"tuned kappa is the {edge} value of the grid 0.05..0.95: "
+             "the best kappa may lie beyond the grid"] if edge else []
+    assert lines[: 1 + len(notes)] == [f"tuned kappa = {tuned}", *notes]
+    assert sum("beyond the grid" in line for line in lines) == len(notes)
+
+
 @pytest.mark.parametrize("n_years", [1, 2, 9])
 def test_fit_needs_two_years_and_forecast_ten(tmp_path, obs_dir, n_years, capsys):
     # fit stops at the decomposition's floor of 2 years, forecast at the order search's 10
@@ -915,11 +929,24 @@ def test_start_up_without_an_order_search_loads_no_scipy(tmp_path, raw_path, obs
     assert modules_at_exit(statement) == (1 if start == "bad_flag" else 0, [])
 
 
-def test_forecast_loads_scipy_for_its_order_search(tmp_path, smooth_dir):
-    status, modules = modules_at_exit(cli_statement(
-        ["forecast", "--data", str(smooth_dir), "--out", str(tmp_path), "--model", "independent"]))
-    assert status == 0
-    assert "scipy.linalg.lapack" in modules
+@pytest.mark.skipif(tsmodels._openblas_dtbtrs() is None,
+                    reason="numpy names no scipy-openblas BLAS with a scipy_dtbtrs_64_ next to "
+                           "it, so the order search imports SciPy's dtbtrs")
+@pytest.mark.parametrize("command", ["forecast", "evaluate", "diagnose", "fit_auto"])
+def test_an_order_search_loads_no_scipy_where_numpy_ships_dtbtrs(tmp_path, obs_dir, smooth_dir,
+                                                                  command):
+    # the band solve binds numpy's own LAPACK dtbtrs; importing SciPy's adds
+    # about 0.25 s and 27 MB to every command that searches
+    argv = {
+        "forecast": ["forecast", "--data", str(smooth_dir), "--model", "independent"],
+        "evaluate": ["evaluate", "--data", str(obs_dir), "--model", "independent", "--h", "1",
+                     "--windows", "2"],
+        "diagnose": ["diagnose", "--data", str(smooth_dir), "--model", "coherent",
+                     "--kappa", "0.6", "--h", "3"],
+        "fit_auto": ["fit", "--data", str(smooth_dir), "--model", "wmfpca", "--kappa", "auto",
+                     "--h", "2", "--windows", "2"],
+    }[command]
+    assert modules_at_exit(cli_statement([*argv, "--out", str(tmp_path)])) == (0, [])
 
 
 @pytest.mark.parametrize("command", ["ingest", "smooth", "fit"])

@@ -1,17 +1,22 @@
 """ARIMA fitting, psi weights and forecast paths against closed forms."""
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
-from scipy.linalg.lapack import dposv, dpotrf
+from scipy.linalg.lapack import dposv, dpotrf, dtbtrs
 from scipy.signal import lfilter
 
 from mortfpca import tsmodels
+from mortfpca.cli import main
 from mortfpca.errors import NonFiniteInput, OptimFailed, SeriesTooShort
+from mortfpca.forecasters import MODELS
+from mortfpca.hmd import write_surface_csv
+from mortfpca.synthetic import synthetic_bundle
 from mortfpca.tsmodels import (
     MAX_D,
     MAX_ITER,
@@ -285,6 +290,97 @@ def test_overflowing_series_does_not_leak_into_other_series(monkeypatch):
     assert any(overflows)
     for a, b in zip(together, alone):
         assert_same_spec(a, b)
+
+
+# ---------------------------------------------------------------------------
+# the band solve: numpy's own LAPACK dtbtrs, or SciPy's
+
+SCIPY_DTBTRS = functools.partial(dtbtrs, uplo="L", diag="U", overwrite_b=True)
+NUMPY_DTBTRS = tsmodels._openblas_dtbtrs()
+needs_numpy_dtbtrs = pytest.mark.skipif(
+    NUMPY_DTBTRS is None,
+    reason="numpy names no scipy-openblas BLAS with a scipy_dtbtrs_64_ next to it, "
+           "so the band solve is SciPy's alone")
+
+
+def solve_with(monkeypatch, binding, compute):
+    monkeypatch.setattr(tsmodels, "_dtbtrs", binding)
+    return compute()
+
+
+@needs_numpy_dtbtrs
+def test_numpy_dtbtrs_equals_scipy_bitwise_on_band_systems(monkeypatch):
+    rng = np.random.default_rng(2024)
+    for _ in range(300):
+        cells, m, k = int(rng.integers(1, 61)), int(rng.integers(8, 81)), int(rng.integers(1, 6))
+        theta = rng.uniform(-1.5, 1.5, (cells, 2))
+        rhs = rng.normal(0.0, 1.0, (k, cells, m))
+        ours = solve_with(monkeypatch, NUMPY_DTBTRS,
+                          lambda: tsmodels._band_solve(theta, rhs.copy()))
+        ref = solve_with(monkeypatch, SCIPY_DTBTRS,
+                         lambda: tsmodels._band_solve(theta, rhs.copy()))
+        assert ours.shape == (k, cells, m)
+        assert ours.tobytes() == ref.tobytes()
+    # the solution overwrites a C-contiguous right-hand side, as overwrite_b=True does
+    rhs = rng.normal(0.0, 1.0, (2, 3, 10))
+    y = solve_with(monkeypatch, NUMPY_DTBTRS,
+                   lambda: tsmodels._band_solve(np.full((3, 2), 0.4), rhs))
+    assert np.shares_memory(y, rhs)
+
+
+@needs_numpy_dtbtrs
+def test_numpy_dtbtrs_restarts_after_a_non_finite_cell_as_scipy_does(monkeypatch):
+    series = np.cumsum(arma_series([0.5], [0.4], 0.2, 60, seed=7))
+    cells = [(1, 0, 1, True), (2, 1, 2, False), (0, 1, 1, True), (1, 2, 2, False)]
+    w, real, free = _layout(series, cells)
+    x = np.where(free, 0.3, 0.0)
+    x[1, 2] = 1e200  # theta_1 of cell 1 overflows its MA recursion
+
+    def filtered():
+        e, z = _css_batch(w, x, real)
+        return e, _css_jacobian(z, x, e, free, real)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        ours = solve_with(monkeypatch, NUMPY_DTBTRS, filtered)
+        ref = solve_with(monkeypatch, SCIPY_DTBTRS, filtered)
+    assert not np.isfinite(ours[0][1]).all() and np.isfinite(ours[0][2:]).all()
+    for a, b in zip(ours, ref):
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.fixture(scope="module")
+def observed_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("observed")
+    for surface in synthetic_bundle(seed=1, n_years=24, max_age=40):
+        write_surface_csv(surface, out / f"{surface.population_id}.csv")
+    return out
+
+
+def forecast_tree(data, out, model):
+    argv = ["forecast", "--data", str(data), "--out", str(out), "--model", model, "--h", "3"]
+    assert main([*argv, "--kappa", "0.5"] if model in ("wmfpca", "coherent") else argv) == 0
+    return {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+@needs_numpy_dtbtrs
+@pytest.mark.parametrize("model", MODELS)
+def test_forced_fallback_gives_the_same_specs_and_forecast_bytes(tmp_path, observed_dir, model,
+                                                                 monkeypatch):
+    series = [np.cumsum(arma_series([0.5], [0.4], 0.2, 40, seed=7)),
+              arma_series([0.6], [0.3], 1.0, 40, seed=21)]
+    modes = ["nonstationary", "stationary"]
+    monkeypatch.setattr(tsmodels, "_dtbtrs", None)
+    specs = fit_auto_many(series, modes)
+    tree = forecast_tree(observed_dir, tmp_path / "numpy", model)
+    assert tsmodels._dtbtrs.__qualname__.startswith("_openblas_dtbtrs.")
+
+    monkeypatch.setattr(tsmodels, "_openblas_dtbtrs", lambda: None)
+    monkeypatch.setattr(tsmodels, "_dtbtrs", None)
+    fallback_specs = fit_auto_many(series, modes)
+    assert tsmodels._dtbtrs.func is dtbtrs
+    for a, b in zip(fallback_specs, specs):
+        assert_same_spec(a, b)
+    assert tree and forecast_tree(observed_dir, tmp_path / "scipy", model) == tree
 
 
 def test_singular_cell_is_rejected_alone():
