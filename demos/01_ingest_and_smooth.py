@@ -31,10 +31,12 @@ print(f"grid: {bundle.years[0]}..{bundle.years[-1]} x ages 0..{bundle.ages[-1]}"
 
 female = impute_missing(bundle[bundle.population_ids.index("female")])
 
-# 3. smooth each year's curve; the residual field feeds interval widths later
-smoothed, residuals = smooth_surface(female)
-print(f"\nmean absolute smoothing residual: {residuals.sigma.mean():.4f}")
-print(f"residual scale by age (first 5): {np.round(residuals.sigma_avg[:5], 4)}")
+# 3. smooth each year's curve; the absolute residuals sigma (years x ages)
+# feed interval widths later
+smoothed, sigma = smooth_surface(female)
+scale = np.sqrt(np.mean(sigma**2, axis=0))
+print(f"\nmean absolute smoothing residual: {sigma.mean():.4f}")
+print(f"residual scale by age (first 5): {np.round(scale[:5], 4)}")
 
 # 4. observed vs smoothed for the last year
 year = int(female.years[-1])

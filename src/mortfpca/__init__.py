@@ -30,11 +30,10 @@ from .hmd import (
     write_surface_csv,
 )
 from .mfpca import fit_mfpca
-from .smoothing import ResidualField, smooth_surface
+from .smoothing import smooth_surface
 from .synthetic import hmd_text_from_bundle, synthetic_bundle
 from .tsmodels import (
     ArimaSpec,
-    ScoreForecast,
     fit_auto,
     fit_auto_many,
     fit_spec,
@@ -65,8 +64,6 @@ __all__ = [
     "MODELS",
     "ModelResult",
     "MortalitySurface",
-    "ResidualField",
-    "ScoreForecast",
     "SurfaceBundle",
     "WeightScheme",
     "fit_auto",

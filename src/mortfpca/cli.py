@@ -46,7 +46,6 @@ from .hmd import (
     write_matrix_csv,
     write_surface_csv,
 )
-from .smoothing import ResidualField
 from .store import (
     append_eval_report,
     save_forecast_surface,
@@ -227,7 +226,10 @@ def _require_out(cfg: RunConfig) -> str:
 
 
 def _load_surface_dir(path):
-    """All surface CSVs in a directory, alphabetical, plus sigma fields."""
+    """All surface CSVs in a directory, alphabetical, plus their sigma arrays.
+
+    The sigma list is ``None`` unless every surface has a ``.sigma.csv``.
+    """
     if not os.path.isdir(path):
         raise ConfigError(f"{path} is not a directory of surface CSVs")
     names = sorted(
@@ -246,7 +248,7 @@ def _load_surface_dir(path):
                 raise SchemaMismatch(f"{sigma_path}: years or ages differ from {name}")
             if not np.all(np.isfinite(sigma) & (sigma >= 0)):
                 raise SchemaMismatch(f"{sigma_path}: sigma must be finite and non-negative")
-            residuals.append(ResidualField(sigma=sigma))
+            residuals.append(sigma)
         else:
             residuals.append(None)
         surfaces.append(surface)
@@ -270,7 +272,7 @@ def _observed_surfaces(cfg: RunConfig):
 
 
 def _prepared_bundle(cfg: RunConfig):
-    """A smoothed bundle plus residual fields, smoothing on the fly if needed."""
+    """A smoothed bundle plus its sigma arrays, smoothing on the fly if needed."""
     bundle, residuals = _load_surface_dir(cfg.data)
     if bundle[0].kind == "observed":
         return smooth_bundle([impute_missing(s) for s in bundle])
@@ -341,14 +343,14 @@ def cmd_ingest(cfg: RunConfig) -> int:
 def cmd_smooth(cfg: RunConfig) -> int:
     out = _require_out(cfg)
     smoothed, residuals = smooth_bundle(_observed_surfaces(cfg))
-    for surface, residual in zip(smoothed, residuals):
+    for surface, sigma in zip(smoothed, residuals):
         write_surface_csv(surface, os.path.join(out, f"{surface.population_id}.csv"))
         write_matrix_csv(
-            surface.years, surface.ages, residual.sigma,
+            surface.years, surface.ages, sigma,
             os.path.join(out, f"{surface.population_id}.sigma.csv"), "sigma",
         )
         print(f"smoothed {surface.population_id}: "
-              f"mean |residual| {residual.sigma.mean():.4f}")
+              f"mean |residual| {sigma.mean():.4f}")
     return 0
 
 

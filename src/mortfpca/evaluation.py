@@ -48,13 +48,13 @@ class EvalReport:
 
 
 def smooth_bundle(surfaces):
-    """Smooth each surface; returns the smoothed bundle and its residual fields."""
-    smoothed, fields = [], []
+    """Smooth each surface; returns the smoothed bundle and each surface's sigma array."""
+    smoothed, sigmas = [], []
     for surface in surfaces:
-        s, f = smooth_surface(surface)
+        s, sigma = smooth_surface(surface)
         smoothed.append(s)
-        fields.append(f)
-    return SurfaceBundle(smoothed), fields
+        sigmas.append(sigma)
+    return SurfaceBundle(smoothed), sigmas
 
 
 def _check_design(bundle, model: str, h: int, windows: int) -> None:

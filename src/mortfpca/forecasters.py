@@ -35,7 +35,9 @@ forecasts times loadings.
 
 Prediction intervals combine three variance pieces per age: the variance of
 the estimated weighted mean, the score forecast variances mapped through
-squared eigenfunctions, and the smoothing residual scale.
+squared eigenfunctions, and the smoothing residual scale.  The first and
+last read the smoothing residuals sigma, a years x ages array per
+population.
 """
 
 from __future__ import annotations
@@ -50,7 +52,6 @@ import numpy as np
 from .components import ComponentRule
 from .errors import AlphaOutOfRange, EmptyBundle
 from .mfpca import fit_mfpca, _extract_curves
-from .smoothing import ResidualField
 from .tsmodels import fit_auto_many, forecast
 from .ufpca import (
     FpcaFit,
@@ -163,14 +164,18 @@ class Block:
     ``covers`` lists the population indices the block adds to.  ``fit``
     holds either one slice, shared by every covered population, or one
     slice per covered population (a joint fit).  ``name`` is the block's
-    ``mortfpca fit`` subdirectory.
+    ``mortfpca fit`` subdirectory.  Once forecast, ``specs`` holds the ARIMA
+    of each score column, and ``mean`` and ``variance`` their forecast paths
+    as h x N matrices, one column per score.
     """
 
     name: str
     covers: list
     fit: FpcaFit
     mode: str
-    forecasts: list = field(default_factory=list)  # ScoreForecast per score column
+    specs: list = field(default_factory=list)
+    mean: np.ndarray | None = None
+    variance: np.ndarray | None = None
 
     def entry(self, i: int):
         """Mean curve and loading matrix this block adds to population ``i``."""
@@ -287,7 +292,13 @@ def _fit_models(bundle, model: str, h: int, kappas, rule: ComponentRule | None,
     results = []
     for weights, blocks in fits:
         for block in blocks:
-            block.forecasts = [forecast(next(specs), series, h) for series in block.fit.scores.T]
+            block.specs = [next(specs) for _ in block.fit.scores.T]
+            paths = [forecast(spec, series, h)
+                     for spec, series in zip(block.specs, block.fit.scores.T)]
+            block.mean, block.variance = np.zeros((h, 0)), np.zeros((h, 0))
+            if paths:
+                block.mean = np.column_stack([mean for mean, _ in paths])
+                block.variance = np.column_stack([variance for _, variance in paths])
         results.append(ModelResult(ids, years, h, weights, blocks))
     return results
 
@@ -296,25 +307,9 @@ def _fit_models(bundle, model: str, h: int, kappas, rule: ComponentRule | None,
 # assembly of forecast surfaces
 
 
-def _stack(forecasts, h):
-    """Score forecast means and variances as h x N matrices."""
-    if not forecasts:
-        return np.zeros((h, 0)), np.zeros((h, 0))
-    mean = np.column_stack([sf.mean for sf in forecasts])
-    var = np.column_stack([sf.variance for sf in forecasts])
-    return mean, var
-
-
 def _covering(result: ModelResult, i: int):
     """(block, mean, loadings) of every block adding to population ``i``, in block order."""
     return [(block, *block.entry(i)) for block in result.blocks if i in block.covers]
-
-
-def mean_variance(weights: WeightScheme, residuals: ResidualField | None, n_ages: int) -> np.ndarray:
-    """Variance of the weighted mean curve: sum_t w_t^2 sigma_t(x)^2."""
-    if residuals is None:
-        return np.zeros(n_ages)
-    return (weights.weights**2) @ (residuals.sigma**2)
 
 
 def predict_interval(result: ModelResult, residuals=None, alpha: float = 0.05):
@@ -323,9 +318,12 @@ def predict_interval(result: ModelResult, residuals=None, alpha: float = 0.05):
     Parameters
     ----------
     result : ModelResult
-    residuals : list of ResidualField or None
-        Smoothing residuals per population; ``None`` drops the mean and
-        observational variance contributions.
+    residuals : list of ndarray or None
+        Per population, the absolute smoothing residuals sigma, one row per
+        training year and one column per age.  Each adds the variance of
+        the weighted mean curve, sum_t w_t^2 sigma_t(x)^2, and the
+        observational variance, the mean of sigma(x)^2 over years.
+        ``None`` drops both.
     alpha : float
         Two-sided miss probability; 0.05 gives 95% intervals.
     """
@@ -340,15 +338,23 @@ def predict_interval(result: ModelResult, residuals=None, alpha: float = 0.05):
         pieces = _covering(result, i)
         # base means first, then the score terms, each in block order
         base = reduce(add, [mean for _, mean, _ in pieces])
-        res_i = residuals[i] if residuals is not None else None
         mean = np.tile(base, (h, 1))
-        variance = np.tile(mean_variance(result.weights, res_i, base.size), (h, 1))
-        if res_i is not None:
-            variance += res_i.sigma_avg**2
+        if residuals is None:
+            variance = np.zeros((h, base.size))
+        else:
+            sigma = np.asarray(residuals[i], dtype=float)
+            shape = (result.train_years.size, base.size)
+            if sigma.shape != shape:
+                raise ValueError(f"{pid}: sigma has shape {sigma.shape}, not "
+                                 f"(train years, ages) = {shape}")
+            if np.any(sigma < 0):
+                raise ValueError(f"{pid}: sigma must be non-negative")
+            variance = np.tile((result.weights.weights**2) @ sigma**2, (h, 1))
+            # the observational variance: the square of sigma's root mean square over years
+            variance += np.sqrt(np.mean(sigma**2, axis=0))**2
         for block, _, loadings in pieces:
-            s_mean, s_var = _stack(block.forecasts, h)
-            mean = mean + s_mean @ loadings
-            variance = variance + s_var @ loadings**2
+            mean = mean + block.mean @ loadings
+            variance = variance + block.variance @ loadings**2
         half = z * np.sqrt(variance)
         surfaces.append(
             ForecastSurface(

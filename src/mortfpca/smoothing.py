@@ -27,7 +27,7 @@ gets its own lambda, as if it were fitted alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -42,31 +42,6 @@ PENALTY_ORDER = 2
 LAMBDA_GRID = np.logspace(-4.0, 4.0, 20)
 #: fitted values at this age and above are made non-decreasing
 MONOTONE_FROM_AGE = 65
-
-
-@dataclass(eq=False)
-class ResidualField:
-    """Absolute smoothing residuals sigma_{t,j} and their age profile.
-
-    ``sigma_avg[j]`` is the root mean square of ``sigma[:, j]`` over years,
-    used later as the observational noise scale at each age; it is derived
-    from ``sigma`` when not given.
-    """
-
-    sigma: np.ndarray
-    sigma_avg: np.ndarray | None = None
-
-    def __post_init__(self):
-        self.sigma = np.asarray(self.sigma, dtype=float)
-        if self.sigma.ndim != 2:
-            raise ValueError("sigma must be a T x J matrix")
-        if self.sigma_avg is None:
-            self.sigma_avg = np.sqrt(np.mean(self.sigma**2, axis=0))
-        self.sigma_avg = np.asarray(self.sigma_avg, dtype=float)
-        if self.sigma_avg.shape != (self.sigma.shape[1],):
-            raise ValueError("sigma_avg must have one entry per age")
-        if np.any(self.sigma < 0) or np.any(self.sigma_avg < 0):
-            raise ValueError("residual magnitudes must be non-negative")
 
 
 def bspline_design(x: np.ndarray, basis_dim: int) -> np.ndarray:
@@ -218,8 +193,8 @@ def _monotone_tail(fitted: np.ndarray, ages: np.ndarray) -> np.ndarray:
 def smooth_surface(surface):
     """Smooth each year's curve of a surface on its own.
 
-    Returns the smoothed surface (kind ``smoothed``) and the
-    :class:`ResidualField` of absolute deviations from the input.  Fitted
+    Returns the smoothed surface (kind ``smoothed``) and ``sigma``, the
+    years x ages array of absolute deviations from the input.  Fitted
     values at ages >= ``MONOTONE_FROM_AGE`` are replaced with their
     isotonic projection, which makes every first difference in that range
     non-negative.
@@ -232,4 +207,4 @@ def smooth_surface(surface):
     fitted, _, _ = penalized_fit_rows(rates, x=surface.ages.astype(float))
     fitted = _monotone_tail(fitted, surface.ages)
     smoothed = replace(surface, log_rates=fitted, kind="smoothed")
-    return smoothed, ResidualField(sigma=np.abs(rates - fitted))
+    return smoothed, np.abs(rates - fitted)

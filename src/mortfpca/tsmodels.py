@@ -116,19 +116,6 @@ class ArimaSpec:
         return self.p + self.q + 1 + (1 if self.include_drift else 0)
 
 
-@dataclass(eq=False)
-class ScoreForecast:
-    """Forecast path of one score series: means and variances per step."""
-
-    mean: np.ndarray
-    variance: np.ndarray
-    spec: ArimaSpec
-
-    @property
-    def horizon(self) -> int:
-        return self.mean.size
-
-
 def _openblas_dtbtrs():
     """numpy's own LAPACK ``dtbtrs`` through ctypes, or None where it does not resolve.
 
@@ -402,7 +389,7 @@ def _grid(mode: str) -> list[tuple[int, int, int, bool]]:
     """The (p, d, q, include_drift) cells of the order search, in search order."""
     return [
         (p, d, q, include_drift)
-        for d in ((0, 1, 2) if mode == "nonstationary" else (0,))
+        for d in (range(MAX_D + 1) if mode == "nonstationary" else (0,))
         for p in range(MAX_ORDER + 1)
         for q in range(MAX_ORDER + 1)
         for include_drift in ((False, True) if d <= 1 else (False,))
@@ -568,20 +555,16 @@ def fit_spec(
     include_drift: bool = False,
     mode: str = "nonstationary",
 ) -> ArimaSpec:
-    """Fit a single fixed-order cell; raises OptimFailed when unusable."""
+    """Fit a single cell of the ``mode`` order search; raises OptimFailed when unusable."""
     series = _validate_series(series)
-    p, d, q = order
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
-    if not (0 <= p <= MAX_ORDER and 0 <= q <= MAX_ORDER and 0 <= d <= 2):
-        raise ValueError(f"order {order} outside the supported grid")
-    if mode == "stationary" and d != 0:
-        raise ValueError("stationary mode requires d = 0")
-    if include_drift and d > 1:
-        raise ValueError("drift is only defined for d <= 1")
+    cell = (*order, bool(include_drift))
+    if cell not in _grid(mode):
+        raise ValueError(f"order {tuple(order)} with include_drift={include_drift} "
+                         f"is not a cell of the {mode} search grid")
     if series.size < MIN_OBS:
         raise SeriesTooShort(f"need at least {MIN_OBS} observations, got {series.size}")
-    cell = (p, d, q, bool(include_drift))
     ((spec,),) = _fit_cells_many([series], [[cell]], [mode])
     if isinstance(spec, str):
         raise OptimFailed(spec)
@@ -666,8 +649,8 @@ def psi_weights(spec: ArimaSpec, n_weights: int) -> np.ndarray:
     return psi[:n_weights]
 
 
-def forecast(spec: ArimaSpec, series, h: int) -> ScoreForecast:
-    """Mean and variance paths h steps ahead from the end of ``series``."""
+def forecast(spec: ArimaSpec, series, h: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (mean, variance) paths h steps ahead from the end of ``series``."""
     series = _validate_series(series)
     if h < 1:
         raise ValueError(f"horizon must be >= 1, got {h}")
@@ -702,8 +685,7 @@ def forecast(spec: ArimaSpec, series, h: int) -> ScoreForecast:
             mean = levels[depth - 1][-1] + np.cumsum(mean)
 
     psi = psi_weights(spec, h)
-    variance = spec.innovation_var * np.cumsum(psi**2)
-    return ScoreForecast(mean=mean, variance=variance, spec=spec)
+    return mean, spec.innovation_var * np.cumsum(psi**2)
 
 
 def unconditional_mean(spec: ArimaSpec) -> float:

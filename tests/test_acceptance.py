@@ -24,7 +24,7 @@ from mortfpca.forecasters import (
 )
 from mortfpca.hmd import SurfaceBundle, impute_missing, parse_hmd_rates
 from mortfpca.mfpca import fit_mfpca
-from mortfpca.smoothing import ResidualField, smooth_surface
+from mortfpca.smoothing import smooth_surface
 from mortfpca.synthetic import hmd_text_from_bundle, synthetic_bundle
 from mortfpca.tsmodels import fit_auto, fit_spec, forecast, unconditional_mean
 from mortfpca.ufpca import fit_ufpca, geometric_weights, uniform_weights
@@ -163,16 +163,16 @@ def _limit_gap(result, model):
         deviations = result.blocks[1]
         fit = deviations.fit
         gap = fit.means[0] - fit.means[1]
-        for l, sf in enumerate(deviations.forecasts):
-            m = unconditional_mean(sf.spec)
+        for l, spec in enumerate(deviations.specs):
+            m = unconditional_mean(spec)
             gap = gap + m * (fit.loadings[0][l]
                              - fit.loadings[1][l])
         return gap
     ratios = result.blocks[1:]
     gap = ratios[0].fit.means[0] - ratios[1].fit.means[0]
     for i, sign in ((0, 1.0), (1, -1.0)):
-        for l, sf in enumerate(ratios[i].forecasts):
-            gap = gap + sign * unconditional_mean(sf.spec) * ratios[i].fit.loadings[0][l]
+        for l, spec in enumerate(ratios[i].specs):
+            gap = gap + sign * unconditional_mean(spec) * ratios[i].fit.loadings[0][l]
     return gap
 
 
@@ -220,24 +220,24 @@ def test_criterion_5_time_series_closed_forms_and_white_noise(acceptance_report)
     for i in range(1, 300):
         z[i] = 2.0 + 0.7 * (z[i - 1] - 2.0) + rng.normal(0.0, 0.4)
     spec = fit_spec(z, (1, 0, 0), include_drift=True, mode="stationary")
-    sf = forecast(spec, z, 12)
+    mean, variance = forecast(spec, z, 12)
     steps = np.arange(1, 13)
     phi, m = float(spec.ar[0]), spec.drift
     mean_ref = m + phi**steps * (z[-1] - m)
     var_ref = spec.innovation_var * np.cumsum(phi ** (2 * (steps - 1)))
     closed_dev = max(
-        float(np.max(np.abs(sf.mean - mean_ref))),
-        float(np.max(np.abs(sf.variance - var_ref))),
+        float(np.max(np.abs(mean - mean_ref))),
+        float(np.max(np.abs(variance - var_ref))),
     )
 
     # random walk with drift: mean last + h*drift, variance h*sigma^2
     walk = np.cumsum(rng.normal(0.5, 1.0, 200))
     spec = fit_spec(walk, (0, 1, 0), include_drift=True)
-    sf = forecast(spec, walk, 12)
+    mean, variance = forecast(spec, walk, 12)
     closed_dev = max(
         closed_dev,
-        float(np.max(np.abs(sf.mean - (walk[-1] + steps * spec.drift)))),
-        float(np.max(np.abs(sf.variance - steps * spec.innovation_var))),
+        float(np.max(np.abs(mean - (walk[-1] + steps * spec.drift)))),
+        float(np.max(np.abs(variance - steps * spec.innovation_var))),
     )
 
     # BIC order selection on pure white noise
@@ -276,7 +276,7 @@ def test_criterion_6_interval_coverage_model_true(acceptance_report):
     sigma_obs = 0.05 * (1.0 + ages / n_ages)
     drift_true, score_sd = -0.8, 0.5
     weights = uniform_weights(t_len)
-    field = ResidualField(sigma=np.tile(sigma_obs, (t_len, 1)), sigma_avg=sigma_obs.copy())
+    sigma = np.tile(sigma_obs, (t_len, 1))
 
     covered = total = 0
     for rep in range(1000):
@@ -288,11 +288,12 @@ def test_criterion_6_interval_coverage_model_true(acceptance_report):
 
         fit = fit_ufpca(curves, weights, ComponentRule(override=1))
         spec = fit_spec(fit.scores[:, 0], (0, 1, 0), include_drift=True)
+        mean, variance = forecast(spec, fit.scores[:, 0], h)
         result = ModelResult(
             ["pop"], np.arange(2000, 2000 + t_len), h, weights,
-            [Block("pop", [0], fit, "nonstationary", [forecast(spec, fit.scores[:, 0], h)])],
+            [Block("pop", [0], fit, "nonstationary", [spec], mean[:, None], variance[:, None])],
         )
-        surface = predict_interval(result, [field], alpha=0.05)[0]
+        surface = predict_interval(result, [sigma], alpha=0.05)[0]
         hit = (surface.lower[h - 1] <= y_future) & (y_future <= surface.upper[h - 1])
         covered += int(np.count_nonzero(hit))
         total += n_ages

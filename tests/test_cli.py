@@ -476,7 +476,9 @@ def _swap_first_two(rows):
     lambda rows: [rows[0].rsplit(",", 1)[0] + ",abc"] + rows[1:],    # non-numeric cell
     lambda rows: [r for r in rows if not r.startswith(f"{YEARS[-1]},")],  # last year dropped
     _swap_first_two,                                                  # rows out of order
-], ids=["non_numeric", "last_year_dropped", "rows_swapped"])
+    lambda rows: [rows[0].rsplit(",", 1)[0] + ",-0.5"] + rows[1:],   # negative cell
+    lambda rows: [rows[0].rsplit(",", 1)[0] + ",nan"] + rows[1:],    # not-a-number cell
+], ids=["non_numeric", "last_year_dropped", "rows_swapped", "negative", "nan"])
 def test_bad_sigma_grid_fails_with_one_error_line(tmp_path, smooth_dir, edit, capsys):
     data = _corrupt_sigma(tmp_path, smooth_dir, edit)
     rc = main(["forecast", "--data", str(data), "--out", str(tmp_path / "out"),
@@ -484,6 +486,23 @@ def test_bad_sigma_grid_fails_with_one_error_line(tmp_path, smooth_dir, edit, ca
     assert rc == 1
     assert_error_line(capsys, "hmd", "SchemaMismatch")
     assert not (tmp_path / "out" / "forecast_female.csv").exists()
+
+
+@pytest.mark.parametrize("dropped", [("female",), ("female", "male", "total")],
+                         ids=["one", "all"])
+def test_smoothed_input_without_sigma_files_is_a_config_error(tmp_path, smooth_dir, dropped,
+                                                              capsys):
+    data = tmp_path / "data"
+    data.mkdir()
+    for p in smooth_dir.iterdir():
+        if p.name not in {f"{pid}.sigma.csv" for pid in dropped}:
+            (data / p.name).write_bytes(p.read_bytes())
+    out = tmp_path / "out"
+    rc = main(["forecast", "--data", str(data), "--out", str(out),
+               "--model", "independent", "--h", "2"])
+    assert rc == 1
+    assert_error_line(capsys, "cli", "ConfigError")
+    assert not any(out.iterdir())
 
 
 @pytest.mark.parametrize("command", ["smooth", "evaluate"])
@@ -722,6 +741,7 @@ def test_flags_override_config_values(tmp_path, smooth_dir):
     "h 3",                  # missing '='
     "h = three",            # not an int
     "plot = maybe",         # not a boolean
+    "model = lee_carter",   # not one of MODELS; argparse choices guard only the flag
 ])
 def test_config_file_errors(tmp_path, body, capsys):
     cfg = tmp_path / "run.cfg"

@@ -8,11 +8,11 @@ import pytest
 
 DEMOS = pathlib.Path(__file__).resolve().parent.parent / "demos"
 
-# 04 is left out: it tunes kappa over the full 19-value grid, which takes ~10 s
 CHARTS = {
     "01_ingest_and_smooth.py": {"smoothing.svg"},
     "02_joint_decomposition.py": {"eigenfunctions.svg", "scores.svg"},
     "03_forecasting_models.py": {"gap_by_horizon.svg", "fan_age40.svg"},
+    "04_rolling_evaluation.py": set(),
     "05_life_expectancy.py": {"e0_paths.svg", "sex_ratio.svg"},
 }
 
@@ -23,7 +23,8 @@ def test_demo_runs_and_writes_its_charts(demo, tmp_path):
     script = tmp_path / demo
     shutil.copy(DEMOS / demo, script)
     runpy.run_path(str(script), run_name="__main__")
-    charts = {p.name for p in (tmp_path / "out").iterdir()}
+    out = tmp_path / "out"
+    charts = {p.name for p in out.iterdir()} if out.exists() else set()
     assert charts == CHARTS[demo]
     for name in charts:
-        assert (tmp_path / "out" / name).read_text().startswith("<svg")
+        assert (out / name).read_text().startswith("<svg")

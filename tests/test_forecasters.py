@@ -21,7 +21,6 @@ from mortfpca.forecasters import (
     predict_interval,
 )
 from mortfpca.hmd import MortalitySurface, SurfaceBundle
-from mortfpca.smoothing import ResidualField
 from mortfpca.synthetic import synthetic_bundle
 from mortfpca.tsmodels import fit_auto, forecast
 from mortfpca.ufpca import geometric_weights
@@ -78,12 +77,15 @@ def test_one_order_search_per_model_fit(model, small_truth, monkeypatch):
     # every score column of every block, in block then column order
     assert searches == [[b.mode for b in result.blocks for _ in range(b.fit.scores.shape[1])]]
     for block in result.blocks:
-        assert len(block.forecasts) == block.fit.scores.shape[1]
-        for series, got in zip(block.fit.scores.T, block.forecasts):
-            alone = forecast(fit_auto(series, block.mode), series, 3)
-            np.testing.assert_array_equal(got.mean, alone.mean)
-            np.testing.assert_array_equal(got.variance, alone.variance)
-            assert got.spec.order == alone.spec.order
+        n = block.fit.scores.shape[1]
+        assert len(block.specs) == n
+        assert block.mean.shape == block.variance.shape == (3, n)
+        for l, (series, spec) in enumerate(zip(block.fit.scores.T, block.specs)):
+            alone = fit_auto(series, block.mode)
+            mean, variance = forecast(alone, series, 3)
+            np.testing.assert_array_equal(block.mean[:, l], mean)
+            np.testing.assert_array_equal(block.variance[:, l], variance)
+            assert spec.order == alone.order
 
 
 def assert_bitwise_equal(a, b, path="result"):
@@ -134,20 +136,20 @@ def test_interval_variance_assembly(results, model, small_truth):
     # residuals=None leaves exactly the score-forecast variance terms
     blocks = {b.name: b for b in result.blocks}
     if model == "independent":
-        terms = [[(blocks[pid].forecasts, blocks[pid].fit.loadings[0])]
+        terms = [[(blocks[pid], blocks[pid].fit.loadings[0])]
                  for pid in ("female", "male")]
         bases = [blocks[pid].fit.means[0] for pid in ("female", "male")]
     elif model == "wmfpca":
         fit = blocks[""].fit
-        terms = [[(blocks[""].forecasts, fit.loadings[i])]
+        terms = [[(blocks[""], fit.loadings[i])]
                  for i in range(2)]
         bases = [fit.means[i] for i in range(2)]
     elif model == "coherent":
         common, deviations = blocks["common"], blocks["deviations"]
         terms = [
             [
-                (common.forecasts, common.fit.loadings[0]),
-                (deviations.forecasts, deviations.fit.loadings[i]),
+                (common, common.fit.loadings[0]),
+                (deviations, deviations.fit.loadings[i]),
             ]
             for i in range(2)
         ]
@@ -158,8 +160,8 @@ def test_interval_variance_assembly(results, model, small_truth):
         ratios = [blocks["ratio_female"], blocks["ratio_male"]]
         terms = [
             [
-                (product.forecasts, product.fit.loadings[0]),
-                (ratios[i].forecasts, ratios[i].fit.loadings[0]),
+                (product, product.fit.loadings[0]),
+                (ratios[i], ratios[i].fit.loadings[0]),
             ]
             for i in range(2)
         ]
@@ -169,11 +171,9 @@ def test_interval_variance_assembly(results, model, small_truth):
     for i, surface in enumerate(surfaces):
         mean = np.tile(bases[i], (3, 1))
         variance = np.zeros_like(mean)
-        for forecasts, ef in terms[i]:
-            s_mean = np.column_stack([f.mean for f in forecasts])
-            s_var = np.column_stack([f.variance for f in forecasts])
-            mean = mean + s_mean @ ef
-            variance = variance + s_var @ ef**2
+        for block, ef in terms[i]:
+            mean = mean + block.mean @ ef
+            variance = variance + block.variance @ ef**2
         np.testing.assert_allclose(surface.mean, mean, atol=1e-10)
         np.testing.assert_allclose(surface.variance, variance, atol=1e-10)
         np.testing.assert_allclose(
@@ -188,15 +188,30 @@ def test_residual_fields_add_mean_and_observation_variance(results, small_truth)
     result = results["wmfpca"]
     n_ages = small_truth.ages.size
     sigma = np.full((18, n_ages), 0.2)
-    residuals = [
-        ResidualField(sigma=sigma, sigma_avg=np.full(n_ages, 0.3)) for _ in range(2)
-    ]
     bare = predict_interval(result, residuals=None)
-    rich = predict_interval(result, residuals)
+    rich = predict_interval(result, [sigma, sigma])
     w = result.weights.weights
-    extra = float(w @ w) * 0.2**2 + 0.3**2
+    extra = float(w @ w) * 0.2**2 + 0.2**2
     np.testing.assert_allclose(rich[0].variance - bare[0].variance, extra, rtol=1e-10)
     np.testing.assert_allclose(rich[0].mean, bare[0].mean, atol=1e-12)
+
+
+def _negative_cell(sigma):
+    sigma = sigma.copy()
+    sigma[3, 2] = -0.1
+    return sigma
+
+
+@pytest.mark.parametrize("edit", [
+    lambda sigma: sigma[1:],           # one training year short
+    lambda sigma: sigma[:, :-1],       # one age short
+    lambda sigma: sigma[0],            # one row, not years x ages
+    _negative_cell,
+], ids=["years_short", "ages_short", "one_row", "negative"])
+def test_predict_interval_rejects_misshaped_or_negative_sigma(results, small_truth, edit):
+    sigma = np.full((18, small_truth.ages.size), 0.2)
+    with pytest.raises(ValueError, match="^male: sigma"):
+        predict_interval(results["wmfpca"], [sigma, edit(sigma)])
 
 
 def test_horizon_years_continue_training_years(results, small_truth):

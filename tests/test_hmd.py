@@ -678,10 +678,10 @@ def test_ingest_and_smooth_write_the_reference_bytes(tmp_path, seed):
         reference_write_grid(ref / f"{pid}.csv", [f"# population_id={pid} kind=observed",
                                                   CSV_HEADER], years, ages, observed.log_rates)
         comment, y, a, grid = reference_read_grid(ref / f"{pid}.csv", "log_rate")
-        smoothed, field = smooth_surface(MortalitySurface(pid, y, a, grid))
+        smoothed, sigma = smooth_surface(MortalitySurface(pid, y, a, grid))
         reference_write_grid(ref / f"{pid}.smoothed.csv", [f"# population_id={pid} kind=smoothed",
                                                            CSV_HEADER], y, a, smoothed.log_rates)
-        reference_write_grid(ref / f"{pid}.sigma.csv", ["year,age,sigma"], y, a, field.sigma)
+        reference_write_grid(ref / f"{pid}.sigma.csv", ["year,age,sigma"], y, a, sigma)
         assert (obs / f"{pid}.csv").read_bytes() == (ref / f"{pid}.csv").read_bytes()
         assert (smo / f"{pid}.csv").read_bytes() == (ref / f"{pid}.smoothed.csv").read_bytes()
         assert (smo / f"{pid}.sigma.csv").read_bytes() == (ref / f"{pid}.sigma.csv").read_bytes()

@@ -23,7 +23,6 @@ from mortfpca.smoothing import (
     MONOTONE_FROM_AGE,
     PENALTY_ORDER,
     SPLINE_DEGREE,
-    ResidualField,
     bspline_design,
     _monotone_tail,
     difference_penalty,
@@ -348,11 +347,10 @@ def test_penalized_fit_rows_rejects_one_non_finite_row():
 
 def test_smooth_surface_returns_residual_field(small_observed):
     s = small_observed[0]
-    smoothed, field = smooth_surface(s)
+    smoothed, sigma = smooth_surface(s)
     assert smoothed.kind == "smoothed"
     assert smoothed.log_rates.shape == s.log_rates.shape
-    np.testing.assert_allclose(field.sigma, np.abs(s.log_rates - smoothed.log_rates))
-    np.testing.assert_allclose(field.sigma_avg, np.sqrt(np.mean(field.sigma**2, axis=0)))
+    np.testing.assert_allclose(sigma, np.abs(s.log_rates - smoothed.log_rates))
 
 
 def test_smooth_surface_rejects_missing_values():
@@ -361,12 +359,3 @@ def test_smooth_surface_rejects_missing_values():
     s = MortalitySurface("pop", np.arange(2000, 2003), np.arange(12), rates)
     with pytest.raises(NonFiniteInput):
         smooth_surface(s)
-
-
-def test_residual_field_validation():
-    with pytest.raises(ValueError):
-        ResidualField(sigma=np.zeros(4), sigma_avg=np.zeros(4))
-    with pytest.raises(ValueError):
-        ResidualField(sigma=np.zeros((2, 3)), sigma_avg=np.zeros(2))
-    with pytest.raises(ValueError):
-        ResidualField(sigma=-np.ones((2, 3)), sigma_avg=np.zeros(3))

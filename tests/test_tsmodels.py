@@ -585,48 +585,48 @@ def test_random_walk_forecast_closed_form():
     rng = np.random.default_rng(4)
     series = np.cumsum(0.3 + rng.normal(0, 0.1, 50))
     spec = fit_spec(series, (0, 1, 0), include_drift=True)
-    fc = forecast(spec, series, 8)
+    mean, variance = forecast(spec, series, 8)
     steps = np.arange(1, 9)
-    np.testing.assert_allclose(fc.mean, series[-1] + steps * spec.drift, atol=1e-10)
-    np.testing.assert_allclose(fc.variance, steps * spec.innovation_var, rtol=1e-12)
-    assert fc.horizon == 8
+    np.testing.assert_allclose(mean, series[-1] + steps * spec.drift, atol=1e-10)
+    np.testing.assert_allclose(variance, steps * spec.innovation_var, rtol=1e-12)
+    assert mean.size == variance.size == 8
 
 
 def test_ar1_forecast_closed_form_and_reversion():
     series = ar1_series(0.8, 5.0, 0.5, 120, seed=42)
     spec = fit_spec(series, (1, 0, 0), include_drift=True, mode="stationary")
     h = 200
-    fc = forecast(spec, series, h)
+    mean, variance = forecast(spec, series, h)
     phi, c = spec.ar[0], spec.drift
     steps = np.arange(1, h + 1)
     np.testing.assert_allclose(
-        fc.mean, c + phi**steps * (series[-1] - c), atol=1e-10
+        mean, c + phi**steps * (series[-1] - c), atol=1e-10
     )
     np.testing.assert_allclose(
-        fc.variance,
+        variance,
         spec.innovation_var * np.cumsum(phi ** (2 * (steps - 1))),
         rtol=1e-10,
     )
     # long-run reversion to the unconditional mean
-    assert abs(fc.mean[-1] - unconditional_mean(spec)) < 1e-12
-    assert abs(fc.variance[-1] - spec.innovation_var / (1 - phi**2)) < 1e-10
+    assert abs(mean[-1] - unconditional_mean(spec)) < 1e-12
+    assert abs(variance[-1] - spec.innovation_var / (1 - phi**2)) < 1e-10
 
 
 def test_ma1_forecast_uses_last_residual_then_reverts():
     rng = np.random.default_rng(21)
     series = rng.normal(2.0, 1.0, 60)
     spec = fit_spec(series, (0, 0, 1), include_drift=True)
-    fc = forecast(spec, series, 4)
+    mean, variance = forecast(spec, series, 4)
     z = series - spec.drift
     e = np.zeros(series.size)
     for t in range(2, series.size):
         e[t] = z[t] - spec.ma[0] * e[t - 1]
-    assert np.isclose(fc.mean[0], spec.drift + spec.ma[0] * e[-1], atol=1e-10)
-    np.testing.assert_allclose(fc.mean[1:], spec.drift, atol=1e-10)
+    assert np.isclose(mean[0], spec.drift + spec.ma[0] * e[-1], atol=1e-10)
+    np.testing.assert_allclose(mean[1:], spec.drift, atol=1e-10)
     np.testing.assert_allclose(
-        fc.variance, spec.innovation_var * np.array([1, 1 + spec.ma[0] ** 2,
-                                                     1 + spec.ma[0] ** 2,
-                                                     1 + spec.ma[0] ** 2]),
+        variance, spec.innovation_var * np.array([1, 1 + spec.ma[0] ** 2,
+                                                  1 + spec.ma[0] ** 2,
+                                                  1 + spec.ma[0] ** 2]),
         rtol=1e-10,
     )
 
@@ -634,9 +634,9 @@ def test_ma1_forecast_uses_last_residual_then_reverts():
 def test_forecast_variance_is_nondecreasing():
     series = ar1_series(0.6, 0.0, 1.0, 60, seed=13)
     for spec in (fit_auto(series), fit_auto(series, mode="stationary")):
-        fc = forecast(spec, series, 30)
-        assert np.all(np.diff(fc.variance) >= -1e-12)
-        assert np.all(np.isfinite(fc.mean))
+        mean, variance = forecast(spec, series, 30)
+        assert np.all(np.diff(variance) >= -1e-12)
+        assert np.all(np.isfinite(mean))
 
 
 def test_forecast_validation():
@@ -660,8 +660,8 @@ def test_auto_differences_trending_series():
     assert spec.include_drift
     assert not spec.fallback
     # the fitted drift tracks the true slope
-    fc = forecast(spec, trend, 10)
-    slope = (fc.mean[-1] - fc.mean[0]) / 9
+    mean, _ = forecast(spec, trend, 10)
+    slope = (mean[-1] - mean[0]) / 9
     assert abs(slope - 0.5) < 0.1
 
 
@@ -740,8 +740,8 @@ def test_fallback_specs():
     fb = _fallback_spec(series, "nonstationary")
     assert fb.order == (0, 1, 0) and fb.include_drift and fb.fallback
     assert fb.drift == 1.0
-    fc = forecast(fb, series, 4)
-    np.testing.assert_allclose(fc.mean, [20.0, 21.0, 22.0, 23.0], atol=1e-12)
+    mean, _ = forecast(fb, series, 4)
+    np.testing.assert_allclose(mean, [20.0, 21.0, 22.0, 23.0], atol=1e-12)
 
     fb = _fallback_spec(series, "stationary")
     assert fb.order == (0, 0, 0) and fb.include_drift and fb.fallback
