@@ -16,8 +16,10 @@ Data directories hold one ``<population_id>.csv`` per population (schema
 ``year,age,log_rate``, kind tag in a leading comment) plus, after
 ``smooth``, one ``<population_id>.sigma.csv`` with the absolute smoothing
 residuals.  Commands that need smoothed input accept an observed directory
-and smooth it on the fly.  ``smooth`` and ``evaluate`` need observed input,
-and no command reads a directory that mixes the two kinds.
+and smooth it on the fly; ``--kappa auto`` then tunes on the observed
+surfaces, as ``evaluate`` does.  Only ``forecast`` and ``diagnose`` read
+the sigma files.  ``smooth`` and ``evaluate`` need observed input, and no
+command reads a directory that mixes the two kinds.
 """
 
 from __future__ import annotations
@@ -272,13 +274,16 @@ def _observed_surfaces(cfg: RunConfig):
 
 
 def _prepared_bundle(cfg: RunConfig):
-    """A smoothed bundle plus its sigma arrays, smoothing on the fly if needed."""
+    """A smoothed bundle, its sigma arrays and the bundle ``--kappa auto`` tunes on.
+
+    An observed directory is smoothed on the fly and tunes on its imputed
+    surfaces, as ``evaluate`` does; a smoothed one tunes on itself.
+    """
     bundle, residuals = _load_surface_dir(cfg.data)
-    if bundle[0].kind == "observed":
-        return smooth_bundle([impute_missing(s) for s in bundle])
-    if residuals is None:
-        raise ConfigError(f"{cfg.data} holds smoothed surfaces but no .sigma.csv files")
-    return bundle, residuals
+    if bundle[0].kind == "smoothed":
+        return bundle, residuals, bundle
+    imputed = SurfaceBundle([impute_missing(s) for s in bundle])
+    return (*smooth_bundle(imputed), imputed)
 
 
 def _resolve_kappa(cfg: RunConfig, bundle, holdout: bool = False) -> float | None:
@@ -312,10 +317,13 @@ def _resolve_kappa(cfg: RunConfig, bundle, holdout: bool = False) -> float | Non
     return cfg.kappa
 
 
-def _fit(cfg: RunConfig, bundle):
-    """The configured model fitted to ``bundle``, with kappa tuned first for 'auto'."""
-    return fit_model(bundle, cfg.model, h=cfg.h, kappa=_resolve_kappa(cfg, bundle),
-                     rule=cfg.rule, weight_power=cfg.weight_power)
+def _intervals(cfg: RunConfig, bundle, residuals, tuning):
+    """Prediction intervals of the configured model on ``bundle``, tuning kappa on ``tuning``."""
+    if residuals is None:
+        raise ConfigError(f"{cfg.data} holds smoothed surfaces but no .sigma.csv files")
+    result = fit_model(bundle, cfg.model, h=cfg.h, kappa=_resolve_kappa(cfg, tuning),
+                       rule=cfg.rule, weight_power=cfg.weight_power)
+    return predict_interval(result, residuals, alpha=cfg.alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -356,9 +364,9 @@ def cmd_smooth(cfg: RunConfig) -> int:
 
 def cmd_fit(cfg: RunConfig) -> int:
     out = _require_out(cfg)
-    bundle, _ = _prepared_bundle(cfg)
+    bundle, _, tuning = _prepared_bundle(cfg)
     # the decomposition alone: fit writes no score forecast, so it runs no order search
-    ids, _, [(_, blocks)] = _decompose(bundle, cfg.model, [_resolve_kappa(cfg, bundle)],
+    ids, _, [(_, blocks)] = _decompose(bundle, cfg.model, [_resolve_kappa(cfg, tuning)],
                                        cfg.rule, cfg.weight_power)
     for block in blocks:
         path = os.path.join(out, block.name)
@@ -374,9 +382,8 @@ def cmd_fit(cfg: RunConfig) -> int:
 
 def cmd_forecast(cfg: RunConfig) -> int:
     out = _require_out(cfg)
-    bundle, residuals = _prepared_bundle(cfg)
-    surfaces = predict_interval(_fit(cfg, bundle), residuals, alpha=cfg.alpha)
-    for surface in surfaces:
+    bundle, residuals, tuning = _prepared_bundle(cfg)
+    for surface in _intervals(cfg, bundle, residuals, tuning):
         path = os.path.join(out, f"forecast_{surface.population_id}.csv")
         save_forecast_surface(surface, bundle.ages, path)
         print(f"wrote forecast_{surface.population_id}.csv "
@@ -433,12 +440,12 @@ def _sex_pair(bundle):
 
 def cmd_diagnose(cfg: RunConfig) -> int:
     out = _require_out(cfg)
-    bundle, residuals = _prepared_bundle(cfg)
+    bundle, residuals, tuning = _prepared_bundle(cfg)
     male_i, female_i = _sex_pair(bundle)
     if bundle.ages[0] != 0:
         raise ConfigError(f"diagnose reports life expectancy at birth and needs age 0; "
                           f"the ages start at {bundle.ages[0]}")
-    surfaces = predict_interval(_fit(cfg, bundle), residuals, alpha=cfg.alpha)
+    surfaces = _intervals(cfg, bundle, residuals, tuning)
 
     male_hist = bundle[male_i].log_rates
     female_hist = bundle[female_i].log_rates

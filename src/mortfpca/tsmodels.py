@@ -20,10 +20,13 @@ identifies the true order consistently (Hannan 1980), whereas AIC's fixed
 penalty of 2 per parameter keeps a constant chance of choosing an overfit
 cell (Shibata 1976).
 
-A batch may hold the cells of several series of one length:
-``fit_auto_many`` searches every score series of a model fit at once, and
-every cell still converges, fails and is chosen as it would alone, so each
-series gets the spec ``fit_auto`` gives it.  A model fit therefore runs
+An order search is one batch whose rows are every (series, cell) pair of
+its series, which share one length: ``fit_auto_many`` searches every score
+series of a model fit at once.  The rows are started, fitted (the MA rows
+by Levenberg-Marquardt), checked against the root margins and scored by
+one final CSS together.  No row's band solve reads another row, so every
+cell converges, fails and is chosen as it would alone, and each series
+gets the spec it would get searched by itself.  A model fit therefore runs
 one order search, not one per series.
 
 The MA filter 1 / theta(B) of a batch is one unit lower-triangular band
@@ -53,6 +56,7 @@ mean-reverting.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -424,36 +428,6 @@ def _layout(series: np.ndarray, cells):
     return padded[d], np.arange(n - N_COND) >= d[:, None], free
 
 
-def _cell_name(cell) -> str:
-    p, d, q, _ = cell
-    return f"cell ({p},{d},{q})"
-
-
-def _start_cells(series: np.ndarray, cells):
-    """Rejection reasons, batch arrays (``_layout``) and start values of ``cells`` on ``series``.
-
-    A pure AR cell starts at, and is, its least-squares regression.  A cell
-    with an MA part starts from the regression of its AR part with theta = 0
-    and the drift at the sample mean.
-    """
-    n_eff = series.size - N_COND - MAX_D
-    reasons = [f"cell ({p},{d},{q}) needs more observations" if n_eff < p + q + 3 + drift else None
-               for p, d, q, drift in cells]
-    w, real, free = _layout(series, cells)
-    x = np.zeros((len(cells), N_SLOTS))
-    regressions = {}
-    for i, (p, d, q, drift) in enumerate(cells):
-        if reasons[i] is None:
-            if (p, d, drift) not in regressions:
-                regressions[p, d, drift] = _ar_regression(w[i, d:], p, d, drift)
-            b = regressions[p, d, drift]
-            x[i, :p] = b[:p]
-            if drift:
-                # an AR cell keeps the intercept c (1 - sum phi) until its margin holds
-                x[i, _DRIFT] = np.mean(w[i, d:]) if q else b[p]
-    return reasons, w, real, free, x
-
-
 def _spec(cell, ar, ma, drift: float, sse: float, n_obs: int, mode: str,
           fallback: bool = False) -> ArimaSpec:
     """The ArimaSpec of ``cell`` fitted to ``n_obs`` values with residual sum of squares ``sse``.
@@ -471,73 +445,82 @@ def _spec(cell, ar, ma, drift: float, sse: float, n_obs: int, mode: str,
                      bic=k * math.log(n_eff) - 2.0 * loglik, mode=mode, fallback=fallback)
 
 
-def _finish_cells(series: np.ndarray, cells, mode: str, reasons, w, real, x) -> list:
-    """Margins, final CSS and ArimaSpec of every cell ``reasons`` has not rejected.
-
-    Returns, per cell, its ArimaSpec or the message of why it was rejected.
-    """
-    results = list(reasons)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        finite = np.isfinite(x).all(axis=1)
-        ar_ok = _roots_ok(-x[:, :MAX_ORDER])
-        ma_ok = _roots_ok(x[:, _MA])
-    for i, cell in enumerate(cells):
-        if results[i] is not None:
-            continue
-        if not finite[i]:
-            results[i] = f"non-finite parameters for {_cell_name(cell)}"
-        elif not ar_ok[i]:
-            results[i] = f"{_cell_name(cell)} violates the AR stationarity margin"
-        elif not ma_ok[i]:
-            results[i] = f"{_cell_name(cell)} violates the MA invertibility margin"
-        elif cell[3] and cell[2] == 0:
-            # the margin excludes a unit root
-            x[i, _DRIFT] /= 1.0 - x[i, :MAX_ORDER].sum()
-
-    live = np.array([r is None for r in results])
-    if live.any():
-        e = _css_batch(w[live], x[live], real[live])[0][:, MAX_D:]
-    for j, i in enumerate(np.flatnonzero(live)):
-        p, d, q, drift = cells[i]
-        sse = float(e[j] @ e[j])
-        if not math.isfinite(sse):
-            results[i] = f"non-finite residuals for {_cell_name(cells[i])}"
-            continue
-        results[i] = _spec(cells[i], x[i, :p].copy(), x[i, MAX_ORDER : MAX_ORDER + q].copy(),
-                           float(x[i, _DRIFT]) if drift else 0.0, sse, series.size, mode)
-    return results
-
-
 def _fit_cells_many(series_list, cell_lists, modes) -> list:
     """CSS fits of each series' (p, d, q, include_drift) cells; the series share one length.
 
     Returns, per series and per cell, its ArimaSpec or the message of why
-    it was rejected.  The cells with an MA part, of every series, go on from
-    their start values (``_start_cells``) together by Levenberg-Marquardt:
-    one batch whose cells are each series' in turn.
+    it was rejected.  Every (series, cell) pair is one row of a single
+    batch, each series' cells in turn.  A pure AR cell starts at, and is,
+    its least-squares regression.  A cell with an MA part starts from the
+    regression of its AR part with theta = 0 and the drift at the sample
+    mean, and the MA rows go on together by Levenberg-Marquardt.  The root
+    margins and the final CSS are then taken over the whole batch.
     """
-    starts = [_start_cells(series, cells) for series, cells in zip(series_list, cell_lists)]
-    ma = [np.array([r is None and cell[2] > 0 for r, cell in zip(reasons, cells)], bool)
-          for (reasons, *_), cells in zip(starts, cell_lists)]
-    if any(m.any() for m in ma):
-        w, real, free, x = (np.concatenate([start[k][m] for start, m in zip(starts, ma)])
-                            for k in (1, 2, 3, 4))
+    if not series_list:
+        return []
+    rows = [(s, cell) for s, cells in enumerate(cell_lists) for cell in cells]
+    w, real, free = (np.concatenate(parts) for parts in
+                     zip(*(_layout(series, cells) for series, cells in zip(series_list, cell_lists))))
+    n_obs = series_list[0].size
+    names = [f"cell ({p},{d},{q})" for _, (p, d, q, _) in rows]
+    # each row's rejection message, until the live rows get their ArimaSpec
+    results = [f"{name} needs more observations" if n_obs - N_COND - MAX_D < p + q + 3 + drift
+               else None for name, (_, (p, d, q, drift)) in zip(names, rows)]
+
+    x = np.zeros((len(rows), N_SLOTS))
+    regressions = {}
+    for i, (s, (p, d, q, drift)) in enumerate(rows):
+        if results[i] is None:
+            if (s, p, d, drift) not in regressions:
+                regressions[s, p, d, drift] = _ar_regression(w[i, d:], p, d, drift)
+            b = regressions[s, p, d, drift]
+            x[i, :p] = b[:p]
+            if drift:
+                # an AR cell keeps the intercept c (1 - sum phi) until its margin holds
+                x[i, _DRIFT] = np.mean(w[i, d:]) if q else b[p]
+
+    ma = np.array([r is None and cell[2] > 0 for r, (_, cell) in zip(results, rows)], bool)
+    if ma.any():
         # trial steps may leave the invertible region, where residuals overflow
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            x, state = _levenberg_marquardt(w, x, free, real)
-        at = 0
-        for (reasons, *_, x_cells), m, cells in zip(starts, ma, cell_lists):
-            rows = np.flatnonzero(m)
-            x_cells[rows] = x[at : at + rows.size]
-            for i, s in zip(rows, state[at : at + rows.size]):
-                if s == _SINGULAR:
-                    reasons[i] = f"{_cell_name(cells[i])} has a singular Jacobian"
-                elif s == _RUNNING:
-                    reasons[i] = f"{_cell_name(cells[i])} did not converge in {MAX_ITER} iterations"
-            at += rows.size
-    return [_finish_cells(series, cells, mode, reasons, w, real, x)
-            for series, cells, mode, (reasons, w, real, _, x)
-            in zip(series_list, cell_lists, modes, starts)]
+            x[ma], state = _levenberg_marquardt(w[ma], x[ma], free[ma], real[ma])
+        for i, outcome in zip(np.flatnonzero(ma), state):
+            if outcome == _SINGULAR:
+                results[i] = f"{names[i]} has a singular Jacobian"
+            elif outcome == _RUNNING:
+                results[i] = f"{names[i]} did not converge in {MAX_ITER} iterations"
+
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        finite = np.isfinite(x).all(axis=1)
+        ar_ok = _roots_ok(-x[:, :MAX_ORDER])
+        ma_ok = _roots_ok(x[:, _MA])
+    for i, (_, (_, _, q, drift)) in enumerate(rows):
+        if results[i] is not None:
+            continue
+        if not finite[i]:
+            results[i] = f"non-finite parameters for {names[i]}"
+        elif not ar_ok[i]:
+            results[i] = f"{names[i]} violates the AR stationarity margin"
+        elif not ma_ok[i]:
+            results[i] = f"{names[i]} violates the MA invertibility margin"
+        elif drift and q == 0:
+            # the margin excludes a unit root
+            x[i, _DRIFT] /= 1.0 - x[i, :MAX_ORDER].sum()
+
+    live = np.flatnonzero([r is None for r in results])
+    if live.size:
+        e = _css_batch(w[live], x[live], real[live])[0][:, MAX_D:]
+    for j, i in enumerate(live):
+        s, cell = rows[i]
+        p, _, q, drift = cell
+        sse = float(e[j] @ e[j])
+        if not math.isfinite(sse):
+            results[i] = f"non-finite residuals for {names[i]}"
+            continue
+        results[i] = _spec(cell, x[i, :p].copy(), x[i, MAX_ORDER : MAX_ORDER + q].copy(),
+                           float(x[i, _DRIFT]) if drift else 0.0, sse, n_obs, modes[s])
+    per_series = iter(results)
+    return [list(itertools.islice(per_series, len(cells))) for cells in cell_lists]
 
 
 def _validate_series(series) -> np.ndarray:
@@ -549,6 +532,23 @@ def _validate_series(series) -> np.ndarray:
     return series
 
 
+def _check_search(series_list, modes) -> tuple[list[np.ndarray], list[str]]:
+    """The validated series and modes of an order search; the series must share one length."""
+    series_list = [_validate_series(series) for series in series_list]
+    modes = list(modes)
+    if len(modes) != len(series_list):
+        raise ValueError(f"got {len(series_list)} series but {len(modes)} modes")
+    for mode in modes:
+        if mode not in MODES:
+            raise ValueError(f"mode must be one of {MODES}")
+    for series in series_list:
+        if series.size < MIN_OBS:
+            raise SeriesTooShort(f"need at least {MIN_OBS} observations, got {series.size}")
+    if len({series.size for series in series_list}) > 1:
+        raise ValueError("series must all have the same length")
+    return series_list, modes
+
+
 def fit_spec(
     series,
     order,
@@ -556,16 +556,12 @@ def fit_spec(
     mode: str = "nonstationary",
 ) -> ArimaSpec:
     """Fit a single cell of the ``mode`` order search; raises OptimFailed when unusable."""
-    series = _validate_series(series)
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}")
+    series_list, modes = _check_search([series], [mode])
     cell = (*order, bool(include_drift))
     if cell not in _grid(mode):
         raise ValueError(f"order {tuple(order)} with include_drift={include_drift} "
                          f"is not a cell of the {mode} search grid")
-    if series.size < MIN_OBS:
-        raise SeriesTooShort(f"need at least {MIN_OBS} observations, got {series.size}")
-    ((spec,),) = _fit_cells_many([series], [[cell]], [mode])
+    ((spec,),) = _fit_cells_many(series_list, [[cell]], modes)
     if isinstance(spec, str):
         raise OptimFailed(spec)
     return spec
@@ -583,40 +579,24 @@ def _fallback_spec(series: np.ndarray, mode: str) -> ArimaSpec:
 
 
 def fit_auto(series, mode: str = "nonstationary") -> ArimaSpec:
-    """Minimum-BIC ARIMA over the order grid.
-
-    Nonstationary mode searches d in {0, 1, 2} with drift offered for
-    d <= 1; stationary mode fixes d = 0.  All cells are fitted in one batch
-    (``_fit_cells_many``).  Cells whose fit does not converge or whose roots land
-    on or inside the margin are skipped, and the first cell in grid order
-    wins a BIC tie; if every cell fails the fallback model is returned with
-    ``fallback=True``.  This is ``fit_auto_many`` of one series.
-    """
+    """``fit_auto_many`` of one series."""
     (spec,) = fit_auto_many([series], [mode])
     return spec
 
 
 def fit_auto_many(series_list, modes) -> list[ArimaSpec]:
-    """``fit_auto(series, mode)`` of every series and its mode, in one order search.
+    """Minimum-BIC ARIMA over the order grid of every series and its mode, in one order search.
 
-    Every series is validated, as ``fit_auto`` does, before any is fitted,
-    and all must have the same length.  The MA cells of every series run in
-    one Levenberg-Marquardt batch (``_fit_cells_many``); each series keeps
-    its own minimum-BIC cell or fallback, as it would alone.
+    Nonstationary mode searches d in {0, 1, 2} with drift offered for
+    d <= 1; stationary mode fixes d = 0.  Every series is validated before
+    any is fitted, and all must have the same length.  Every cell of every
+    series is one row of one batch (``_fit_cells_many``), and each row is
+    fitted, checked and scored as it would be alone.  Cells whose fit does
+    not converge or whose roots land on or inside the margin are skipped,
+    and the first cell in grid order wins a BIC tie; a series whose every
+    cell fails gets the fallback model, with ``fallback=True``.
     """
-    series_list = [_validate_series(series) for series in series_list]
-    modes = list(modes)
-    if len(modes) != len(series_list):
-        raise ValueError(f"got {len(series_list)} series but {len(modes)} modes")
-    for mode in modes:
-        if mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}")
-    for series in series_list:
-        if series.size < MIN_OBS:
-            raise SeriesTooShort(f"need at least {MIN_OBS} observations, got {series.size}")
-    if len({series.size for series in series_list}) > 1:
-        raise ValueError("series must all have the same length")
-
+    series_list, modes = _check_search(series_list, modes)
     specs = []
     fits = _fit_cells_many(series_list, [_grid(mode) for mode in modes], modes)
     for series, mode, cells in zip(series_list, modes, fits):

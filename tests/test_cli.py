@@ -13,7 +13,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from mortfpca import forecasters, tsmodels
+from mortfpca import cli, forecasters, tsmodels
 from mortfpca.cli import (
     ENV_DATA_DIR,
     RunConfig,
@@ -503,6 +503,37 @@ def test_smoothed_input_without_sigma_files_is_a_config_error(tmp_path, smooth_d
     assert rc == 1
     assert_error_line(capsys, "cli", "ConfigError")
     assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_fit_reads_no_sigma_files(tmp_path, smooth_dir, model):
+    data = tmp_path / "data"
+    data.mkdir()
+    for p in smooth_dir.iterdir():
+        if not p.name.endswith(".sigma.csv"):
+            (data / p.name).write_bytes(p.read_bytes())
+    argv = ["fit", "--model", model, "--kappa", "0.5"]
+    assert main([*argv, "--data", str(smooth_dir), "--out", str(tmp_path / "with")]) == 0
+    assert main([*argv, "--data", str(data), "--out", str(tmp_path / "without")]) == 0
+    written = fit_tree(tmp_path / "without")
+    assert written and written == fit_tree(tmp_path / "with")
+
+
+@pytest.mark.parametrize("data, kind", [("obs_dir", "observed"), ("smooth_dir", "smoothed")])
+@pytest.mark.parametrize("command", ["fit", "forecast", "diagnose"])
+def test_kappa_auto_tunes_on_the_surfaces_of_the_data_directory(tmp_path, request, data, kind,
+                                                                command, monkeypatch):
+    kinds = []
+    tune = cli.tune_kappa
+
+    def spy(bundle, *args, **kwargs):
+        kinds.append({surface.kind for surface in bundle})
+        return tune(bundle, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "tune_kappa", spy)
+    assert main([command, "--data", str(request.getfixturevalue(data)), "--out", str(tmp_path),
+                 "--model", "wmfpca", "--kappa", "auto", "--h", "2", "--windows", "2"]) == 0
+    assert kinds == [{kind}]
 
 
 @pytest.mark.parametrize("command", ["smooth", "evaluate"])

@@ -538,6 +538,42 @@ def test_unconverged_cell_is_rejected():
         fit_spec(noise, (2, 2, 2))
 
 
+def _tiny_then_huge():
+    # every lag is tiny and the last value huge, so the AR regression overflows
+    series = np.full(20, 1e-300)
+    series[-1] = 1e100
+    return series
+
+
+def _spike():
+    # zero until its last two values, so an MA(2) cell's theta_2 column is all zero
+    series = np.zeros(40)
+    series[-2:] = (1.0, 2.0)
+    return series
+
+
+@pytest.mark.parametrize("series, order, mode, message", [
+    (np.arange(10.0), (2, 0, 2), "nonstationary", "cell (2,0,2) needs more observations"),
+    (_tiny_then_huge(), (1, 0, 0), "stationary", "non-finite parameters for cell (1,0,0)"),
+    (1.5 ** np.arange(14.0), (1, 0, 0), "stationary",
+     "cell (1,0,0) violates the AR stationarity margin"),
+    (1.5 ** np.arange(14.0), (0, 0, 1), "nonstationary",
+     "cell (0,0,1) violates the MA invertibility margin"),
+    (np.full(20, 1e200), (0, 0, 0), "stationary", "non-finite residuals for cell (0,0,0)"),
+    (_spike(), (0, 0, 2), "stationary", "cell (0,0,2) has a singular Jacobian"),
+    (np.random.default_rng(0).normal(0.0, 1.0, 40), (2, 2, 2), "nonstationary",
+     f"cell (2,2,2) did not converge in {MAX_ITER} iterations"),
+], ids=["short", "parameters", "ar_margin", "ma_margin", "residuals", "singular", "unconverged"])
+def test_each_rejection_names_its_cell(series, order, mode, message):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        with pytest.raises(OptimFailed) as rejected:
+            fit_spec(series, order, mode=mode)
+        # the search rejects the cell with the same message among all of its grid
+        (batch,) = _fit_cells_many([series], [_grid(mode)], [mode])
+    assert str(rejected.value) == message
+    assert batch[_grid(mode).index((*order, False))] == message
+
+
 @pytest.mark.parametrize("mode", ["nonstationary", "stationary"])
 def test_fit_auto_returns_minimum_bic_cell(mode):
     # on this random walk the minimum-AIC cell is (1,1,0) and the minimum-BIC one (0,1,0)
