@@ -11,11 +11,10 @@ import pathlib
 
 import numpy as np
 
-from mortfpca.components import ComponentRule
 from mortfpca.mfpca import fit_mfpca
 from mortfpca.svgplot import line_chart
 from mortfpca.synthetic import synthetic_bundle
-from mortfpca.ufpca import fit_ufpca, geometric_weights, uniform_weights
+from mortfpca.ufpca import ComponentRule, fit_ufpca, geometric_weights, uniform_weights
 
 out_dir = pathlib.Path(__file__).parent / "out"
 out_dir.mkdir(exist_ok=True)

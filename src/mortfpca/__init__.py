@@ -9,7 +9,6 @@ Coherent variants keep the gaps between populations bounded at long
 horizons.
 """
 
-from .components import FULL_RANK, ComponentRule, select_ncomp
 from .demographics import LifeTable, life_expectancy, sex_ratio
 from .evaluation import DEFAULT_KAPPA_GRID, EvalReport, rolling_rmse, tune_kappa
 from .forecasters import (
@@ -42,10 +41,13 @@ from .tsmodels import (
     unconditional_mean,
 )
 from .ufpca import (
+    FULL_RANK,
+    ComponentRule,
     FpcaFit,
     WeightScheme,
     fit_ufpca,
     geometric_weights,
+    select_ncomp,
     uniform_weights,
 )
 

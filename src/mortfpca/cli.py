@@ -1,11 +1,14 @@
 """Command-line pipeline: ingest, smooth, fit, forecast, evaluate, diagnose.
 
-Settings resolve in three layers: built-in defaults, then an optional flat
-``key = value`` config file given with ``--config``, then explicit flags.
-Each setting is one ``RunConfig`` field that declares its parser and help,
-so a flag and a file line share one parser and one error.
-``--data`` falls back to the ``MFPCA_DATA_DIR`` environment variable.  All
-failures print a single machine-parsable line to stderr::
+One parser reads a command, named in ``COMMANDS`` with its function and
+help line, and the flags every command takes, before or after it;
+``mortfpca --help`` lists both.  Settings resolve in three layers:
+built-in defaults, then an optional flat ``key = value`` config file given
+with ``--config``, then explicit flags.  Each setting is one ``RunConfig``
+field that declares its parser and help, so a flag and a file line share
+one parser and one error.  ``--data`` falls back to the ``MFPCA_DATA_DIR``
+environment variable.  All failures print a single machine-parsable line
+to stderr::
 
     error module=<subsystem> type=<ErrorClass> msg="..."
 
@@ -31,7 +34,6 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .components import ComponentRule
 from .demographics import life_expectancy, sex_ratio
 from .errors import ConfigError, MalformedRow, MortfpcaError, SchemaMismatch
 from .evaluation import DEFAULT_KAPPA_GRID, _check_design, rolling_rmse, smooth_bundle, tune_kappa
@@ -55,6 +57,7 @@ from .store import (
     save_mfpca_fit,
 )
 from .svgplot import line_chart
+from .ufpca import ComponentRule
 
 ENV_DATA_DIR = "MFPCA_DATA_DIR"
 
@@ -157,30 +160,19 @@ def _read_config_file(path) -> dict:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One parser: the command, then ``--config`` and the flags every command takes."""
     parser = argparse.ArgumentParser(
         prog="mortfpca",
-        description="Multi-population mortality forecasting pipeline.",
+        description="Multi-population mortality forecasting pipeline.\n\ncommands:\n"
+                    + "".join(f"  {name:10}{line}\n" for name, (_, line) in COMMANDS.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="flat 'key = value' settings file")
+    parser.add_argument("command", choices=COMMANDS, metavar="command",
+                        help="one of the commands above")
+    parser.add_argument("--config", help="flat 'key = value' settings file")
     for key, setting in _SETTINGS.items():
-        common.add_argument("--" + key.replace("_", "-"), help=setting.metadata["help"],
+        parser.add_argument("--" + key.replace("_", "-"), help=setting.metadata["help"],
                             **setting.metadata["flag"])
-
-    sub.add_parser("ingest", parents=[common],
-                   help="parse raw Mx_1x1 text into per-population CSV surfaces")
-    sub.add_parser("smooth", parents=[common],
-                   help="penalized-spline smooth each surface, write sigma fields")
-    sub.add_parser("fit", parents=[common],
-                   help="fit a decomposition and serialize its components")
-    sub.add_parser("forecast", parents=[common],
-                   help="forecast log rates with prediction intervals")
-    sub.add_parser("evaluate", parents=[common],
-                   help="rolling-origin RMSE per population, appended to eval.csv")
-    sub.add_parser("diagnose", parents=[common],
-                   help="sex ratios and life expectancy, historical plus forecast")
     return parser
 
 
@@ -486,12 +478,12 @@ def cmd_diagnose(cfg: RunConfig) -> int:
 
 
 COMMANDS = {
-    "ingest": cmd_ingest,
-    "smooth": cmd_smooth,
-    "fit": cmd_fit,
-    "forecast": cmd_forecast,
-    "evaluate": cmd_evaluate,
-    "diagnose": cmd_diagnose,
+    "ingest": (cmd_ingest, "parse raw Mx_1x1 text into per-population CSV surfaces"),
+    "smooth": (cmd_smooth, "penalized-spline smooth each surface, write sigma fields"),
+    "fit": (cmd_fit, "fit a decomposition and serialize its components"),
+    "forecast": (cmd_forecast, "forecast log rates with prediction intervals"),
+    "evaluate": (cmd_evaluate, "rolling-origin RMSE per population, appended to eval.csv"),
+    "diagnose": (cmd_diagnose, "sex ratios and life expectancy, historical plus forecast"),
 }
 
 
@@ -499,7 +491,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = resolve_config(args)
-        return COMMANDS[cfg.command](cfg)
+        return COMMANDS[cfg.command][0](cfg)
     except MortfpcaError as exc:
         msg = str(exc).replace('"', "'")
         print(f'error module={exc.module} type={type(exc).__name__} msg="{msg}"',

@@ -23,12 +23,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .components import ComponentRule
 from .errors import InsufficientSpan, KappaOutOfRange
 from .forecasters import MODELS, WEIGHTED_MODELS, _fit_models, predict_interval
 from .hmd import SurfaceBundle, _distinct
 from .smoothing import smooth_surface
 from .tsmodels import MIN_OBS
+from .ufpca import ComponentRule
 
 #: default decay-rate candidates: 0.05, 0.10, ..., 0.95
 DEFAULT_KAPPA_GRID = np.round(np.arange(0.05, 0.951, 0.05), 2)

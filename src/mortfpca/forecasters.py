@@ -49,11 +49,11 @@ from operator import add
 
 import numpy as np
 
-from .components import ComponentRule
 from .errors import AlphaOutOfRange, EmptyBundle
 from .mfpca import fit_mfpca, _extract_curves
 from .tsmodels import fit_auto_many, forecast
 from .ufpca import (
+    ComponentRule,
     FpcaFit,
     WeightScheme,
     fit_ufpca,

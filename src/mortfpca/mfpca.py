@@ -25,9 +25,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .components import ComponentRule
 from .errors import EmptyBundle
-from .ufpca import FpcaFit, WeightScheme, _decompose, fit_ufpca
+from .ufpca import ComponentRule, FpcaFit, WeightScheme, _decompose, fit_ufpca
 
 
 def _extract_curves(bundle):
@@ -57,8 +56,6 @@ def fit_mfpca(
     shapes = {c.shape for c in curves_list}
     if len(shapes) != 1:
         raise ValueError(f"populations disagree in shape: {sorted(shapes)}")
-    if rule is None:
-        rule = ComponentRule()
 
     parts = [fit_ufpca(c, weights, rule, weight_power) for c in curves_list]
     # same thin-factorization route as the univariate fit: singular values of

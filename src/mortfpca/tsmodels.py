@@ -49,9 +49,9 @@ conditional likelihood degenerates) of modulus > 1.001; violating cells
 are rejected, which in particular stops an over-differenced model from
 undoing its differencing with a unit MA root.  A cell whose
 Levenberg-Marquardt fit has not converged after ``MAX_ITER`` iterations is
-rejected too, as is one whose damped normal equations are singular.
-Stationary mode further restricts the grid to d = 0 so forecasts stay
-mean-reverting.
+rejected too, as is one whose damped normal equations are singular or
+whose differences overflow.  Stationary mode further restricts the grid
+to d = 0 so forecasts stay mean-reverting.
 """
 
 from __future__ import annotations
@@ -117,7 +117,12 @@ class ArimaSpec:
 
     @property
     def n_params(self) -> int:
-        return self.p + self.q + 1 + (1 if self.include_drift else 0)
+        return _n_params(self.p, self.q, self.include_drift)
+
+
+def _n_params(p: int, q: int, include_drift: bool) -> int:
+    """The k of an ARIMA(p, d, q) cell's AIC and BIC: p + q + 1, plus one for a drift term."""
+    return p + q + 1 + int(include_drift)
 
 
 def _openblas_dtbtrs():
@@ -437,7 +442,7 @@ def _spec(cell, ar, ma, drift: float, sse: float, n_obs: int, mode: str,
     """
     p, d, q, include_drift = cell
     n_eff = n_obs - N_COND - MAX_D
-    k = p + q + 1 + (1 if include_drift else 0)
+    k = _n_params(p, q, include_drift)
     sigma2 = max(sse / n_eff, 1e-300)
     loglik = -0.5 * n_eff * (math.log(2 * math.pi) + math.log(sigma2) + 1.0)
     return ArimaSpec(p, d, q, include_drift, ar, ma, drift, innovation_var=sigma2,
@@ -445,6 +450,8 @@ def _spec(cell, ar, ma, drift: float, sse: float, n_obs: int, mode: str,
                      bic=k * math.log(n_eff) - 2.0 * loglik, mode=mode, fallback=fallback)
 
 
+# a row whose values overflow is rejected by its finiteness checks, not by a warning
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _fit_cells_many(series_list, cell_lists, modes) -> list:
     """CSS fits of each series' (p, d, q, include_drift) cells; the series share one length.
 
@@ -464,8 +471,11 @@ def _fit_cells_many(series_list, cell_lists, modes) -> list:
     n_obs = series_list[0].size
     names = [f"cell ({p},{d},{q})" for _, (p, d, q, _) in rows]
     # each row's rejection message, until the live rows get their ArimaSpec
-    results = [f"{name} needs more observations" if n_obs - N_COND - MAX_D < p + q + 3 + drift
-               else None for name, (_, (p, d, q, drift)) in zip(names, rows)]
+    results = [f"{name} needs more observations"
+               if n_obs - N_COND - MAX_D < _n_params(p, q, drift) + 2
+               else None if differenced else f"{name} has non-finite differences"
+               for name, (_, (p, _, q, drift)), differenced
+               in zip(names, rows, np.isfinite(w).all(axis=1))]
 
     x = np.zeros((len(rows), N_SLOTS))
     regressions = {}
@@ -481,19 +491,16 @@ def _fit_cells_many(series_list, cell_lists, modes) -> list:
 
     ma = np.array([r is None and cell[2] > 0 for r, (_, cell) in zip(results, rows)], bool)
     if ma.any():
-        # trial steps may leave the invertible region, where residuals overflow
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            x[ma], state = _levenberg_marquardt(w[ma], x[ma], free[ma], real[ma])
+        x[ma], state = _levenberg_marquardt(w[ma], x[ma], free[ma], real[ma])
         for i, outcome in zip(np.flatnonzero(ma), state):
             if outcome == _SINGULAR:
                 results[i] = f"{names[i]} has a singular Jacobian"
             elif outcome == _RUNNING:
                 results[i] = f"{names[i]} did not converge in {MAX_ITER} iterations"
 
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        finite = np.isfinite(x).all(axis=1)
-        ar_ok = _roots_ok(-x[:, :MAX_ORDER])
-        ma_ok = _roots_ok(x[:, _MA])
+    finite = np.isfinite(x).all(axis=1)
+    ar_ok = _roots_ok(-x[:, :MAX_ORDER])
+    ma_ok = _roots_ok(x[:, _MA])
     for i, (_, (_, _, q, drift)) in enumerate(rows):
         if results[i] is not None:
             continue
@@ -568,13 +575,19 @@ def fit_spec(
 
 
 def _fallback_spec(series: np.ndarray, mode: str) -> ArimaSpec:
-    """Random walk with drift (nonstationary) or mean-level white noise."""
+    """Random walk with drift (nonstationary) or mean-level white noise.
+
+    Raises OptimFailed where its drift overflows.
+    """
     d = 1 if mode == "nonstationary" else 0
-    w = np.diff(series, d) if d else series
-    burn = MAX_D - d
-    c = float(np.mean(w[N_COND + burn :]))
-    e = w[N_COND + burn :] - c
-    return _spec((0, d, 0, True), np.empty(0), np.empty(0), c, float(e @ e), series.size, mode,
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = np.diff(series, d)[N_COND + MAX_D - d :]
+        c = float(np.mean(w))
+        e = w - c
+        sse = float(e @ e)
+    if not math.isfinite(c):
+        raise OptimFailed(f"no cell of the {mode} search fits, and its fallback drift overflows")
+    return _spec((0, d, 0, True), np.empty(0), np.empty(0), c, sse, series.size, mode,
                  fallback=True)
 
 
@@ -594,7 +607,8 @@ def fit_auto_many(series_list, modes) -> list[ArimaSpec]:
     fitted, checked and scored as it would be alone.  Cells whose fit does
     not converge or whose roots land on or inside the margin are skipped,
     and the first cell in grid order wins a BIC tie; a series whose every
-    cell fails gets the fallback model, with ``fallback=True``.
+    cell fails gets the fallback model, with ``fallback=True``; the search
+    raises OptimFailed where that model's drift overflows.
     """
     series_list, modes = _check_search(series_list, modes)
     specs = []

@@ -8,6 +8,10 @@ square root, see ``weight_power``), and the eigenpairs come from the scaled
 data's covariance.  Scores are projections of the *unscaled* centered curves
 onto the eigenfunctions, which keeps them on the natural scale for
 time-series modelling.
+
+``ComponentRule`` and ``select_ncomp`` decide how many components every
+decomposition keeps: this univariate one, the joint one of
+:mod:`mortfpca.mfpca` and the univariate fits it rotates.
 """
 
 from __future__ import annotations
@@ -16,11 +20,72 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .components import ComponentRule, select_ncomp
 from .errors import InsufficientYears, KappaOutOfRange, NonFiniteInput
 
 #: relative singular-value cutoff below which a component counts as numerically zero
 EIGENVALUE_RTOL = 1e-12
+
+
+@dataclass(frozen=True)
+class ComponentRule:
+    """How many principal components to keep.
+
+    ``threshold`` keeps the smallest leading set whose cumulative share of
+    total variance reaches the given proportion.  ``override``, when set,
+    wins and requests a fixed count (capped at the number of available
+    components).
+    """
+
+    threshold: float = 0.9
+    override: int | None = None
+
+    def __post_init__(self):
+        if not 0.0 < self.threshold <= 1.0:
+            raise ValueError(f"threshold must lie in (0, 1], got {self.threshold}")
+        if self.override is not None and self.override < 1:
+            raise ValueError(f"override must be a positive count, got {self.override}")
+
+
+#: Keep every component the data supports.
+FULL_RANK = ComponentRule(threshold=1.0)
+
+
+def select_ncomp(eigenvalues, rule: ComponentRule) -> int:
+    """Number of components retained under ``rule``.
+
+    Parameters
+    ----------
+    eigenvalues : array_like
+        Non-increasing, non-negative variances, one per component.
+    rule : ComponentRule
+        Selection rule.
+
+    Returns
+    -------
+    int
+        Smallest N with cumulative share >= ``rule.threshold``, or
+        ``rule.override`` capped at ``len(eigenvalues)``.  All-zero input
+        yields 0.
+    """
+    vals = np.asarray(eigenvalues, dtype=float)
+    if vals.ndim != 1:
+        raise ValueError("eigenvalues must be a 1-d array")
+    if vals.size and (np.any(vals < 0) or np.any(np.diff(vals) > 1e-12 * max(vals[0], 1.0))):
+        raise ValueError("eigenvalues must be non-increasing and non-negative")
+    total = vals.sum()
+    if vals.size == 0 or total <= 0.0:
+        return 0
+    if rule.override is not None:
+        return min(rule.override, vals.size)
+    if rule.threshold >= 1.0:
+        # keep every nonzero component; a share search would drop trailing
+        # components whose share rounds below machine precision even though
+        # they still carry signal
+        return int(np.sum(vals > 0.0))
+    shares = np.cumsum(vals) / total
+    # tolerate cumsum rounding a hair below an exactly-attained threshold
+    n = int(np.searchsorted(shares, rule.threshold - 1e-12)) + 1
+    return min(n, vals.size)
 
 
 @dataclass(eq=False)
@@ -113,8 +178,8 @@ def _orient_rows(vectors: np.ndarray):
     return signs
 
 
-def _decompose(scaled, centered, rule: ComponentRule, means: list, weights: WeightScheme,
-               weight_power: float, parts=()) -> FpcaFit:
+def _decompose(scaled, centered, rule: ComponentRule | None, means: list,
+               weights: WeightScheme, weight_power: float, parts=()) -> FpcaFit:
     """Fit of the leading eigenvectors of scaled'scaled/(T-1), scoring ``centered``.
 
     With ``parts``, the columns are the parts' stacked scores, and each
@@ -134,7 +199,7 @@ def _decompose(scaled, centered, rule: ComponentRule, means: list, weights: Weig
         n_keep = 0
     else:
         n_keep = int(np.sum(svals > EIGENVALUE_RTOL * svals[0]))
-    n_comp = min(select_ncomp(evals[:n_keep], rule), n_keep)
+    n_comp = min(select_ncomp(evals[:n_keep], rule or ComponentRule()), n_keep)
 
     vectors = np.ascontiguousarray(vt[:n_comp])
     _orient_rows(vectors)
@@ -169,8 +234,8 @@ def fit_ufpca(
         One finite curve per row.
     weights : WeightScheme
         Length-T weights used for the mean and for row scaling.
-    rule : ComponentRule
-        Truncation rule applied to the eigenvalue sequence.
+    rule : ComponentRule, optional
+        Truncation rule applied to the eigenvalue sequence; ``ComponentRule()`` if None.
     weight_power : float
         Exponent on the weights when scaling centered rows; 1.0 scales by
         w_t, 0.5 by sqrt(w_t).
@@ -192,8 +257,6 @@ def fit_ufpca(
         raise NonFiniteInput("curves contain non-finite values")
     if weight_power not in (1.0, 0.5):
         raise ValueError(f"weight_power must be 1.0 or 0.5, got {weight_power}")
-    if rule is None:
-        rule = ComponentRule()
 
     w = weights.weights
     mean_fn = w @ curves

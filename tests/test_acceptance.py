@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from mortfpca.cli import main
-from mortfpca.components import FULL_RANK, ComponentRule
 from mortfpca.evaluation import rolling_rmse
 from mortfpca.forecasters import (
     MODELS,
@@ -27,7 +26,7 @@ from mortfpca.mfpca import fit_mfpca
 from mortfpca.smoothing import smooth_surface
 from mortfpca.synthetic import hmd_text_from_bundle, synthetic_bundle
 from mortfpca.tsmodels import fit_auto, fit_spec, forecast, unconditional_mean
-from mortfpca.ufpca import fit_ufpca, geometric_weights, uniform_weights
+from mortfpca.ufpca import FULL_RANK, ComponentRule, fit_ufpca, geometric_weights, uniform_weights
 
 
 def test_criterion_1_joint_decomposition_matches_bruteforce_oracle(acceptance_report):

@@ -13,7 +13,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from mortfpca import cli, forecasters, tsmodels
+from mortfpca import ComponentRule, cli, forecasters, tsmodels
 from mortfpca.cli import (
     ENV_DATA_DIR,
     RunConfig,
@@ -22,7 +22,6 @@ from mortfpca.cli import (
     main,
     resolve_config,
 )
-from mortfpca.components import ComponentRule
 from mortfpca.demographics import life_expectancy
 from mortfpca.evaluation import smooth_bundle
 from mortfpca.forecasters import MODELS, WEIGHTED_MODELS, fit_model
@@ -873,6 +872,28 @@ def test_flag_and_config_line_resolve_to_the_same_setting(tmp_path, key, text):
     from_flag = resolve_config(parser.parse_args(base + flag))
     from_file = resolve_config(parser.parse_args(base + ["--config", str(cfg)]))
     assert getattr(from_flag, key) == getattr(from_file, key) != getattr(RunConfig(), key)
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["fit", "--help"]], ids=["bare", "fit"])
+def test_help_lists_every_command_and_every_flag(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    page = capsys.readouterr().out
+    for name, (_, line) in cli.COMMANDS.items():
+        assert re.search(rf"^  {name} +{re.escape(line)}$", page, re.M), name
+    for key in ["config"] + [f.name for f in fields(RunConfig) if f.name != "command"]:
+        assert re.search(rf"^  --{key.replace('_', '-')}\b", page, re.M), key
+
+
+def test_flags_before_and_after_the_command_resolve_alike():
+    flags = ["--data", "surfaces", "--model", "coherent", "--h", "5", "--plot", "--kappa", "0.3"]
+    parser = build_parser()
+    before = resolve_config(parser.parse_args([*flags, "forecast"]))
+    after = resolve_config(parser.parse_args(["forecast", *flags]))
+    split = resolve_config(parser.parse_args([*flags[:4], "forecast", *flags[4:]]))
+    assert before == after == split
+    assert (before.command, before.model, before.h) == ("forecast", "coherent", 5) and before.plot
 
 
 @pytest.mark.parametrize("country", ["New Zealand", "NZ,1", "../x", "a\\b", "S\u00e9"])

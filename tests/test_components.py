@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mortfpca.components import FULL_RANK, ComponentRule, select_ncomp
+from mortfpca.ufpca import FULL_RANK, ComponentRule, select_ncomp
 
 # shares of [4, 3, 2, 1] are .4, .7, .9, 1.0 cumulatively
 VALS = np.array([4.0, 3.0, 2.0, 1.0])

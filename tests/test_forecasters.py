@@ -10,7 +10,6 @@ from scipy.special import ndtri
 from scipy.stats import norm
 
 from mortfpca import forecasters
-from mortfpca.components import FULL_RANK, ComponentRule
 from mortfpca.errors import AlphaOutOfRange, EmptyBundle
 from mortfpca.forecasters import (
     MODELS,
@@ -23,7 +22,7 @@ from mortfpca.forecasters import (
 from mortfpca.hmd import MortalitySurface, SurfaceBundle
 from mortfpca.synthetic import synthetic_bundle
 from mortfpca.tsmodels import fit_auto, forecast
-from mortfpca.ufpca import geometric_weights
+from mortfpca.ufpca import FULL_RANK, ComponentRule, geometric_weights
 
 RULE = ComponentRule(threshold=0.9)
 Z_95 = 1.959963984540054

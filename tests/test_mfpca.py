@@ -3,10 +3,9 @@
 import numpy as np
 import pytest
 
-from mortfpca.components import FULL_RANK, ComponentRule
 from mortfpca.errors import EmptyBundle
 from mortfpca.mfpca import fit_mfpca
-from mortfpca.ufpca import geometric_weights, uniform_weights
+from mortfpca.ufpca import FULL_RANK, ComponentRule, geometric_weights, uniform_weights
 
 
 def random_populations(seed, p=2, t=9, j=5):

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from mortfpca.components import ComponentRule
 from mortfpca.evaluation import EvalReport
 from mortfpca.forecasters import ForecastSurface
 from mortfpca.mfpca import fit_mfpca
@@ -13,7 +12,7 @@ from mortfpca.store import (
     save_fpca_fit,
     save_mfpca_fit,
 )
-from mortfpca.ufpca import fit_ufpca, uniform_weights
+from mortfpca.ufpca import ComponentRule, fit_ufpca, uniform_weights
 
 
 @pytest.fixture(scope="module")

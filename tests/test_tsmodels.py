@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -545,6 +546,11 @@ def _tiny_then_huge():
     return series
 
 
+def _overflowing_differences():
+    # finite, but every difference of it overflows
+    return np.where(np.arange(20) % 2, 1.0, -1.0) * 1e308
+
+
 def _spike():
     # zero until its last two values, so an MA(2) cell's theta_2 column is all zero
     series = np.zeros(40)
@@ -554,6 +560,8 @@ def _spike():
 
 @pytest.mark.parametrize("series, order, mode, message", [
     (np.arange(10.0), (2, 0, 2), "nonstationary", "cell (2,0,2) needs more observations"),
+    (_overflowing_differences(), (1, 1, 0), "nonstationary",
+     "cell (1,1,0) has non-finite differences"),
     (_tiny_then_huge(), (1, 0, 0), "stationary", "non-finite parameters for cell (1,0,0)"),
     (1.5 ** np.arange(14.0), (1, 0, 0), "stationary",
      "cell (1,0,0) violates the AR stationarity margin"),
@@ -563,7 +571,8 @@ def _spike():
     (_spike(), (0, 0, 2), "stationary", "cell (0,0,2) has a singular Jacobian"),
     (np.random.default_rng(0).normal(0.0, 1.0, 40), (2, 2, 2), "nonstationary",
      f"cell (2,2,2) did not converge in {MAX_ITER} iterations"),
-], ids=["short", "parameters", "ar_margin", "ma_margin", "residuals", "singular", "unconverged"])
+], ids=["short", "differences", "parameters", "ar_margin", "ma_margin", "residuals", "singular",
+        "unconverged"])
 def test_each_rejection_names_its_cell(series, order, mode, message):
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         with pytest.raises(OptimFailed) as rejected:
@@ -572,6 +581,17 @@ def test_each_rejection_names_its_cell(series, order, mode, message):
         (batch,) = _fit_cells_many([series], [_grid(mode)], [mode])
     assert str(rejected.value) == message
     assert batch[_grid(mode).index((*order, False))] == message
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_search_of_an_overflowing_series_raises_optimfailed_quietly(mode, capfd):
+    # no cell fits and the fallback's drift overflows; LAPACK never sees a non-finite
+    # difference, so it prints no DLASCL complaint
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OptimFailed, match=f"no cell of the {mode} search fits"):
+            fit_auto(_overflowing_differences(), mode)
+    assert "DLASCL" not in capfd.readouterr().err
 
 
 @pytest.mark.parametrize("mode", ["nonstationary", "stationary"])

@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mortfpca.components import FULL_RANK, ComponentRule
 from mortfpca.errors import (
     InsufficientYears,
     KappaOutOfRange,
     NonFiniteInput,
 )
 from mortfpca.ufpca import (
+    FULL_RANK,
+    ComponentRule,
     WeightScheme,
     fit_ufpca,
     geometric_weights,
